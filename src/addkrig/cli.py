@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .bench import GFunctionBenchConfig, PathsBenchConfig, fitted_from_result
-from .estimate import additivity_ratio, default_bounds, estimate_rlm, estimate_ulm
+from .estimate import additivity_ratio, default_bounds, estimate_rlm, estimate_ulm, write_traces
 from .gp import CholeskyFailure, Dataset, FittedGP, centered_effect, predict_mean, predict_var, sub_model
 
 EXIT_OK = 0
@@ -141,6 +141,8 @@ def _load_points(path, d) -> np.ndarray:
         raise InputError(f"cannot read points file {path}: {exc}") from None
     if pts.ndim != 2 or pts.shape[1] != d:
         raise InputError(f"points have dimension {pts.shape[-1] if pts.size else 0}, model expects {d}")
+    if not np.all(np.isfinite(pts)):
+        raise InputError(f"points file {path} contains non-finite values")
     return pts
 
 
@@ -179,7 +181,7 @@ def cmd_effects(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _resolve(args, {"experiment": None, "seed": 0, "out": "out", "workers": 1})
+    cfg = _resolve(args, {"experiment": None, "seed": 0, "out": "out"})
     file_cfg = _load_config_file(getattr(args, "config", None))
     if cfg["experiment"] not in ("gfunction", "paths"):
         raise InputError("bench experiment must be 'gfunction' or 'paths'")
@@ -198,14 +200,7 @@ def cmd_bench(args) -> int:
         report = bench_mod.run_paths_benchmark(PathsBenchConfig(**_tupled(opts)))
     report.to_csv(out / "report.csv")
     report.save_summary(out / "summary.json")
-    with open(out / "traces.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["run_id", "iteration", "direction", "n_calls_cum", "best_value", "tau2"])
-        for run_id, trace in report.traces.items():
-            total = 0
-            for r in trace.records:
-                total += r.n_calls
-                w.writerow([run_id, r.iteration, r.direction, total, repr(float(r.best_value)), repr(float(r.noise))])
+    write_traces(out / "traces.csv", report.traces)
     for line in report.failures:
         print(f"failed: {line}", file=sys.stderr)
     return EXIT_PARTIAL if report.failures else EXIT_OK
@@ -250,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--seed", type=int)
     bn.add_argument("--out")
     bn.add_argument("--config")
-    bn.add_argument("--workers", type=int, help="accepted for interface compatibility; runs are sequential")
     bn.set_defaults(func=cmd_bench)
     return p
 

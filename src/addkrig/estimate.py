@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import io
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,11 +44,13 @@ __all__ = [
     "EstimationResult",
     "neg_log_likelihood",
     "nll_gradient",
+    "nll_value_and_grad",
     "optimize_local",
     "estimate_ulm",
     "estimate_rlm",
     "additivity_ratio",
     "default_bounds",
+    "write_traces",
 ]
 
 # Sentinel magnitude returned to the optimizer when the covariance cannot be
@@ -175,21 +178,27 @@ def _param_ids(params: HyperParams) -> list[str]:
     return ids
 
 
-def nll_gradient(params: HyperParams, dataset: Dataset) -> np.ndarray:
-    """Analytic gradient of the objective over {sigma_i^2, theta_i, tau^2}.
+def nll_value_and_grad(params: HyperParams, dataset: Dataset, ids=None) -> tuple[float, np.ndarray]:
+    """Objective value and analytic gradient from one Cholesky factorization.
 
-    Uses the identity d l = tr(K^-1 dK) - alpha^T dK alpha with alpha = K^-1 Y.
-    For the tensor composition the variance block collapses to the single
-    overall variance (direction 0), matching the optimization vector.
+    The gradient is over the parameter ids ``ids`` (default: the full vector
+    {sigma_i^2, theta_i, tau^2}), from d l = tr(K^-1 dK) - alpha^T dK alpha with
+    alpha = K^-1 Y.  For the tensor composition the variance block collapses to
+    the single overall variance (direction 0), matching the optimization vector.
     """
     kernel = params.to_kernel()
-    _, L, alpha = _nll_core(kernel, params.noise, dataset)
+    value, L, alpha = _nll_core(kernel, params.noise, dataset)
     Kinv = cho_solve((L, True), np.eye(dataset.n))
     grad = []
-    for pid in _param_ids(params):
+    for pid in _param_ids(params) if ids is None else ids:
         G = grad_cov_matrix(kernel, dataset.X, params.noise, pid)
         grad.append(float(np.sum(Kinv * G)) - float(alpha @ G @ alpha))
-    return np.array(grad)
+    return value, np.array(grad)
+
+
+def nll_gradient(params: HyperParams, dataset: Dataset) -> np.ndarray:
+    """Analytic gradient of the objective over {sigma_i^2, theta_i, tau^2}."""
+    return nll_value_and_grad(params, dataset)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +286,6 @@ class EstimationTrace:
     def total_calls(self) -> int:
         return sum(r.n_calls for r in self.records)
 
-    def cumulative(self):
-        """(n_calls_cum, best_value) pairs across all inner optimizations."""
-        out, total = [], 0
-        for r in self.records:
-            total += r.n_calls
-            out.append((total, r.best_value))
-        return out
-
     def noise_by_iteration(self) -> dict[int, float]:
         """tau^2 at the end of each cycle."""
         out = {}
@@ -293,27 +294,25 @@ class EstimationTrace:
         return out
 
     def to_csv(self, path_or_buf, run_id="run") -> None:
-        close = False
-        if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-            fh = open(path_or_buf, "w", newline="")
-            close = True
-        else:
-            fh = path_or_buf
-        try:
-            w = csv.writer(fh)
-            w.writerow(["run_id", "iteration", "direction", "n_calls_cum", "best_value", "tau2"])
-            total = 0
-            for r in self.records:
-                total += r.n_calls
-                w.writerow([run_id, r.iteration, r.direction, total, repr(float(r.best_value)), repr(float(r.noise))])
-        finally:
-            if close:
-                fh.close()
+        write_traces(path_or_buf, {run_id: self})
 
     def to_csv_string(self, run_id="run") -> str:
         buf = io.StringIO()
         self.to_csv(buf, run_id=run_id)
         return buf.getvalue()
+
+
+def write_traces(path_or_buf, traces: dict[str, EstimationTrace]) -> None:
+    """CSV of ``{run_id: trace}``: one row per inner run, calls accumulated per run."""
+    is_path = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
+    with open(path_or_buf, "w", newline="") if is_path else nullcontext(path_or_buf) as fh:
+        w = csv.writer(fh)
+        w.writerow(["run_id", "iteration", "direction", "n_calls_cum", "best_value", "tau2"])
+        for run_id, trace in traces.items():
+            total = 0
+            for r in trace.records:
+                total += r.n_calls
+                w.writerow([run_id, r.iteration, r.direction, total, repr(float(r.best_value)), repr(float(r.noise))])
 
 
 @dataclass(frozen=True)
@@ -342,8 +341,7 @@ def _make_objective(dataset, family, composition, d):
         return HyperParams(variances, rest[:d], float(rest[d]), family, composition)
 
     def value_and_grad(x):
-        p = unpack(x)
-        return neg_log_likelihood(p, dataset), nll_gradient(p, dataset)
+        return nll_value_and_grad(unpack(x), dataset)
 
     return unpack, value_and_grad
 
@@ -426,24 +424,22 @@ def estimate_rlm(
     # to a direction therefore starts with a small variance kick.
     sigma_kick = 0.05 * hb.variance[1] / 10.0 if hb.variance[1] > 0 else 0.0
 
-    inner_box = Bounds(
-        np.array([hb.variance[0], hb.lengthscale[0], hb.noise[0]]),
-        np.array([hb.variance[1], hb.lengthscale[1], hb.noise[1]]),
-    )
+    # Each inner problem is a one-direction additive model: (sigma_l^2, theta_l, tau^2).
+    inner_box = _full_bounds(hb, 1, "additive")
 
     trace = EstimationTrace()
     current = np.inf
     converged = True
 
     def make_inner(l):
+        ids = [f"variance_{l}", f"lengthscale_{l}", "noise"]
+
         def value_and_grad(x3):
             v = variances.copy()
             t = lengthscales.copy()
             v[l], t[l] = x3[0], x3[1]
             p = HyperParams(v, t, float(x3[2]), family, "additive")
-            full_g = nll_gradient(p, dataset)
-            g = np.array([full_g[l], full_g[d + l], full_g[2 * d]])
-            return neg_log_likelihood(p, dataset), g
+            return nll_value_and_grad(p, dataset, ids)
 
         return value_and_grad
 

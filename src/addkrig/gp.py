@@ -30,7 +30,6 @@ from .kernels import (
     cov_matrix,
     cross_cov,
     double_integral_univariate,
-    eval_kernel,
     integral_univariate,
     kernel_from_json,
     kernel_to_json,
@@ -70,6 +69,8 @@ class Dataset:
             raise ValueError("X and Y must have the same number of rows")
         if X.shape[0] < 1:
             raise ValueError("dataset needs at least one point")
+        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
+            raise ValueError("design and responses must be finite")
         if np.any(X < -1e-12) or np.any(X > 1 + 1e-12):
             raise ValueError("design coordinates must lie in [0, 1]")
         if len(np.unique(X, axis=0)) != X.shape[0]:
@@ -218,6 +219,8 @@ class FittedGP:
     def from_json(cls, obj) -> "FittedGP":
         if isinstance(obj, str):
             obj = json.loads(obj)
+        if obj.get("schema_version") != MODEL_SCHEMA_VERSION:
+            raise ValueError(f"unsupported model schema_version {obj.get('schema_version')!r}")
         kernel = kernel_from_json(obj["kernel"])
         ds = Dataset(np.asarray(obj["x"], dtype=float), np.asarray(obj["y"], dtype=float))
         return fit_gp(kernel, ds, float(obj["noise"]))
@@ -257,11 +260,17 @@ def fit_gp(
     return FittedGP(kernel, float(noise), dataset, L, alpha, y_mean)
 
 
+def _query_points(x) -> tuple[bool, np.ndarray]:
+    """(whether x is one point, m x d batch); rejects non-finite coordinates."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("query points must be finite")
+    return x.ndim == 1, np.atleast_2d(x)
+
+
 def predict_mean(gp: FittedGP, x) -> float | np.ndarray:
     """Kriging mean at one point (d-vector) or a batch of points (m x d)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
+    single, pts = _query_points(x)
     k = cross_cov(gp.kernel, pts, gp.dataset.X)
     out = gp.y_mean + k @ gp.weights
     return float(out[0]) if single else out
@@ -269,11 +278,11 @@ def predict_mean(gp: FittedGP, x) -> float | np.ndarray:
 
 def predict_var(gp: FittedGP, x) -> float | np.ndarray:
     """Kriging variance at one point or a batch; clamped at zero for round-off."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
+    single, pts = _query_points(x)
     k = cross_cov(gp.kernel, pts, gp.dataset.X)
-    prior = np.array([eval_kernel(gp.kernel, p, p) for p in pts])
+    # Stationary kernels: the prior variance k(x, x) is the same at every point.
+    variances = [c.variance for c in gp.kernel.components]
+    prior = sum(variances) if gp.kernel.is_additive else math.prod(variances)
     v = solve_triangular(gp.factor, k.T, lower=True)
     out = prior - np.sum(v * v, axis=0)
     return float(_clamp_var(out[0])) if single else _clamp_var(out)

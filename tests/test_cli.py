@@ -74,6 +74,12 @@ class TestFit:
         code = main(["fit", "--data", str(bad), "--out", str(tmp_path / "o")])
         assert code == EXIT_INPUT
 
+    def test_non_finite_data(self, tmp_path):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("x1,x2,y\n0.1,0.2,1.0\n0.5,0.6,nan\n0.9,0.3,0.5\n")
+        code = main(["fit", "--data", str(bad), "--out", str(tmp_path / "o")])
+        assert code == EXIT_INPUT
+
     def test_config_file_with_flag_override(self, tmp_path, data_csv):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kernel": "gaussian", "iterations": 1, "method": "rlm"}))
@@ -138,6 +144,24 @@ class TestPredict:
         pts.write_text("0.5\n")
         assert main(["predict", "--model", str(path), "--points", str(pts),
                      "--out", str(tmp_path / "o")]) == EXIT_INPUT
+
+    def test_non_finite_points(self, tmp_path, model_path):
+        path, _ = model_path
+        pts = tmp_path / "nan.csv"
+        pts.write_text("0.5,0.5\nnan,0.2\n")
+        assert main(["predict", "--model", str(path), "--points", str(pts),
+                     "--out", str(tmp_path / "o")]) == EXIT_INPUT
+
+    def test_unknown_schema_version(self, tmp_path, model_path):
+        path, _ = model_path
+        obj = json.loads(path.read_text())
+        obj["schema_version"] = 99
+        path.write_text(json.dumps(obj))
+        pts = tmp_path / "points.csv"
+        pts.write_text("0.5,0.5\n")
+        assert main(["predict", "--model", str(path), "--points", str(pts),
+                     "--out", str(tmp_path / "o")]) == EXIT_INPUT
+        assert main(["effects", "--model", str(path), "--out", str(tmp_path / "o")]) == EXIT_INPUT
 
     def test_missing_model(self, tmp_path):
         assert main(["predict", "--model", str(tmp_path / "none.json"),
@@ -209,14 +233,14 @@ class TestBench:
         with pytest.raises(SystemExit):
             main(["bench", "smoke", "--out", str(tmp_path / "o")])
 
-    def test_workers_flag_accepted(self, tmp_path):
+    def test_small_paths(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "dims": [2], "n_paths": 1, "points_per_dim": 5, "lhs_steps": 50,
             "rlm_iterations": 1, "ulm_max_evals": 100, "rlm_max_evals_inner": 30,
         }))
         out = tmp_path / "bench"
-        assert main(["bench", "paths", "--config", str(cfg), "--workers", "4",
+        assert main(["bench", "paths", "--config", str(cfg),
                      "--out", str(out)]) == EXIT_OK
         rows = (out / "report.csv").read_text().strip().splitlines()
         assert len(rows) == 3  # header + 2 methods x 1 path

@@ -16,8 +16,9 @@ from addkrig import (
     nll_gradient,
     optimize_local,
 )
+from addkrig import estimate
 from addkrig.bench import lhs_maximin, sample_gp_path
-from addkrig.estimate import HyperBounds, _full_bounds, _make_objective
+from addkrig.estimate import HyperBounds, _full_bounds, _make_objective, nll_value_and_grad
 from addkrig.kernels import cov_matrix
 
 
@@ -111,6 +112,53 @@ class TestGradient:
         g = nll_gradient(p, ds)
         assert g.shape == (5,)
         assert g[3] == pytest.approx(0.0, abs=1e-12)
+
+
+class TestValueAndGrad:
+    @pytest.mark.parametrize("fam", ["gaussian", "matern32"])
+    @pytest.mark.parametrize("comp", ["additive", "tensor"])
+    def test_matches_separate_functions(self, fam, comp):
+        # Same factorization and arithmetic: exact equality, not a tolerance.
+        ds = random_dataset(10, 3, 20)
+        rng = np.random.default_rng(21)
+        for _ in range(3):
+            p = HyperParams(rng.uniform(0.1, 2.0, 3), rng.uniform(0.1, 1.0, 3),
+                            float(rng.uniform(1e-3, 0.5)), fam, comp)
+            value, g = nll_value_and_grad(p, ds)
+            assert value == neg_log_likelihood(p, ds)
+            np.testing.assert_array_equal(g, nll_gradient(p, ds))
+
+    @pytest.mark.parametrize("fam", ["gaussian", "matern32"])
+    def test_rlm_ids_select_full_gradient_entries(self, fam):
+        d = 4
+        ds = random_dataset(12, d, 22)
+        rng = np.random.default_rng(23)
+        p = HyperParams(rng.uniform(0.0, 2.0, d), rng.uniform(0.1, 1.0, d), 0.05, fam)
+        full = nll_gradient(p, ds)
+        for l in range(d):
+            value, g = nll_value_and_grad(p, ds, [f"variance_{l}", f"lengthscale_{l}", "noise"])
+            assert value == neg_log_likelihood(p, ds)
+            np.testing.assert_array_equal(g, full[[l, d + l, 2 * d]])
+
+    @pytest.mark.parametrize("run", [
+        lambda ds: estimate_rlm(ds, family="matern32", n_iterations=2),
+        lambda ds: estimate_ulm(ds, composition="additive", max_evals=300),
+        lambda ds: estimate_ulm(ds, composition="tensor", max_evals=300),
+    ], ids=["rlm", "ulm-additive", "ulm-tensor"])
+    def test_one_factorization_per_objective_call(self, run, monkeypatch):
+        ds = random_dataset(15, 3, 24)
+        centered = Dataset(ds.X, ds.Y - np.mean(ds.Y))
+        calls = []
+        real = estimate.cholesky
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimate, "cholesky", counting)
+        res = run(centered)
+        assert res.trace.total_calls > 0
+        assert len(calls) == res.trace.total_calls
 
 
 class TestOptimizeLocal:

@@ -34,6 +34,15 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.array([[0.4, 0.2]]), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("x, y", [
+        ([[np.nan, 0.2], [0.5, 0.6]], [1.0, 2.0]),
+        ([[0.1, 0.2], [0.5, 0.6]], [np.nan, 2.0]),
+        ([[0.1, 0.2], [0.5, 0.6]], [1.0, np.inf]),
+    ])
+    def test_rejects_non_finite(self, x, y):
+        with pytest.raises(ValueError):
+            Dataset(np.array(x), np.array(y))
+
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         ds = Dataset(rng.uniform(size=(7, 3)), rng.standard_normal(7))
@@ -122,6 +131,12 @@ class TestPrediction:
             lhs = predict_mean(gp, [x1, x2]) + predict_mean(gp, [y1, y2])
             rhs = predict_mean(gp, [x1, y2]) + predict_mean(gp, [y1, x2])
             assert lhs == pytest.approx(rhs, abs=1e-9)
+
+    def test_rejects_non_finite_points(self):
+        gp = fit_gp(gauss2(), Dataset(RECT3, np.array([1.0, 2.0, -0.5])))
+        for f in (predict_mean, predict_var):
+            with pytest.raises(ValueError):
+                f(gp, np.array([[0.5, 0.5], [np.nan, 0.2]]))
 
     def test_variance_bounded_by_prior(self):
         rng = np.random.default_rng(9)
