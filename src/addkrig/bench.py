@@ -33,7 +33,7 @@ from .estimate import (
     estimate_rlm,
     estimate_ulm,
 )
-from .gp import Dataset, FittedGP, fit_gp, predict_mean
+from .gp import Dataset, fit_gp, predict_mean
 from .kernels import AdditiveKernel, cov_matrix
 
 __all__ = [
@@ -321,10 +321,6 @@ def _run_method(method, dataset, family, bounds, cfg) -> EstimationResult:
     raise ValueError(f"unknown method {method!r}")
 
 
-def fitted_from_result(result: EstimationResult, dataset: Dataset) -> FittedGP:
-    return fit_gp(result.params.to_kernel(), dataset, result.params.noise)
-
-
 def run_gfunction_benchmark(config: GFunctionBenchConfig = GFunctionBenchConfig()) -> BenchmarkReport:
     """Fit the g-function on repeated maximin designs and score each method by Q2."""
     spec = GFunctionSpec(np.asarray(config.a))
@@ -344,7 +340,7 @@ def run_gfunction_benchmark(config: GFunctionBenchConfig = GFunctionBenchConfig(
             run_id = f"g{run:03d}-{method}"
             try:
                 result = _run_method(method, dataset, config.family, bounds, config)
-                model = fitted_from_result(result, dataset)
+                model = fit_gp(result.params.to_kernel(), dataset, result.params.noise)
                 score = q2(y_test, predict_mean(model, X_test))
             except (np.linalg.LinAlgError, ArithmeticError) as exc:
                 report.failures.append(f"{run_id}: {exc}")

@@ -20,9 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .bench import GFunctionBenchConfig, PathsBenchConfig, fitted_from_result
+from .bench import GFunctionBenchConfig, PathsBenchConfig
 from .estimate import additivity_ratio, default_bounds, estimate_rlm, estimate_ulm, write_traces
-from .gp import CholeskyFailure, Dataset, FittedGP, centered_effect, predict_mean, predict_var, sub_model
+from .gp import (CholeskyFailure, Dataset, FittedGP, centered_effect, fit_gp, predict_mean,
+                 predict_var, sub_model)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -39,20 +40,30 @@ def _load_config_file(path):
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise InputError(f"config file {path} must hold a JSON object")
+    return cfg
 
 
-def _resolve(args, defaults: dict) -> dict:
-    """Merge config-file values under explicit flags; flags win."""
-    cfg = dict(defaults)
-    cfg.update(_load_config_file(getattr(args, "config", None)))
+def _resolve(args, defaults: dict) -> tuple[dict, dict]:
+    """(config, config-file values): file values merged under explicit flags; flags win."""
+    file_cfg = _load_config_file(args.config)
+    cfg = {**defaults, **file_cfg}
     for key in defaults:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    return cfg
+    return cfg, file_cfg
+
+
+def _int(cfg: dict, key: str) -> int:
+    try:
+        return int(cfg[key])
+    except (TypeError, ValueError):
+        raise InputError(f"{key} must be an integer, got {cfg[key]!r}") from None
 
 
 def _echo_config(out_dir: Path, cfg: dict) -> None:
@@ -68,13 +79,14 @@ def _out_dir(cfg) -> Path:
 
 
 def cmd_fit(args) -> int:
-    cfg = _resolve(args, {
+    cfg, _ = _resolve(args, {
         "data": None, "kernel": "gaussian", "composition": "additive",
         "method": "rlm", "iterations": 5, "seed": 0, "out": "out",
     })
     if cfg["data"] is None:
         raise InputError("fit requires --data")
-    if cfg["method"] == "rlm" and int(cfg["iterations"]) < 1:
+    iterations, seed = _int(cfg, "iterations"), _int(cfg, "seed")
+    if cfg["method"] == "rlm" and iterations < 1:
         raise InputError("rlm needs at least one iteration")
     if cfg["method"] == "rlm" and cfg["composition"] != "additive":
         raise InputError("rlm only applies to additive kernels")
@@ -92,13 +104,13 @@ def cmd_fit(args) -> int:
         raise InputError(str(exc)) from None
     if cfg["method"] == "rlm":
         result = estimate_rlm(centered, family=cfg["kernel"], bounds=bounds,
-                              n_iterations=int(cfg["iterations"]))
+                              n_iterations=iterations)
     else:
         result = estimate_ulm(centered, family=cfg["kernel"],
                               composition=cfg["composition"], bounds=bounds,
-                              seed=int(cfg["seed"]))
+                              seed=seed)
     try:
-        model = fitted_from_result(result, dataset)
+        model = fit_gp(result.params.to_kernel(), dataset, result.params.noise)
     except CholeskyFailure as exc:
         print(exc.report.describe(), file=sys.stderr)
         return EXIT_NUMERIC
@@ -111,13 +123,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg = _resolve(args, {"model": None, "points": None, "out": "out"})
+    cfg, _ = _resolve(args, {"model": None, "points": None, "out": "out"})
     if cfg["model"] is None or cfg["points"] is None:
         raise InputError("predict requires --model and --points")
-    try:
-        model = FittedGP.load(cfg["model"])
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot load model: {exc}") from None
+    model = _load_model(cfg["model"])
     pts = _load_points(cfg["points"], model.dataset.d)
     out = _out_dir(cfg)
     _echo_config(out, cfg)
@@ -129,6 +138,13 @@ def cmd_predict(args) -> int:
         for m, v in zip(means, variances):
             w.writerow([repr(float(m)), repr(float(v))])
     return EXIT_OK
+
+
+def _load_model(path) -> FittedGP:
+    try:
+        return FittedGP.load(path)
+    except (OSError, ValueError, KeyError) as exc:
+        raise InputError(f"cannot load model: {exc}") from None
 
 
 def _load_points(path, d) -> np.ndarray:
@@ -155,21 +171,21 @@ def _is_float_row(row) -> bool:
 
 
 def cmd_effects(args) -> int:
-    cfg = _resolve(args, {"model": None, "direction": 1, "grid_size": 101, "out": "out"})
+    cfg, _ = _resolve(args, {"model": None, "direction": 1, "grid_size": 101, "out": "out"})
     if cfg["model"] is None:
         raise InputError("effects requires --model")
-    try:
-        model = FittedGP.load(cfg["model"])
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot load model: {exc}") from None
+    model = _load_model(cfg["model"])
     if not model.kernel.is_additive:
         raise InputError("effects require an additive model")
-    direction = int(cfg["direction"]) - 1  # CLI is 1-based like the x1..xd headers
+    direction = _int(cfg, "direction") - 1  # CLI is 1-based like the x1..xd headers
     if not 0 <= direction < model.dataset.d:
         raise InputError(f"direction must be in 1..{model.dataset.d}")
+    grid_size = _int(cfg, "grid_size")
+    if grid_size < 1:
+        raise InputError("grid size must be at least 1")
     out = _out_dir(cfg)
     _echo_config(out, cfg)
-    grid = np.linspace(0.0, 1.0, int(cfg["grid_size"]))
+    grid = np.linspace(0.0, 1.0, grid_size)
     m, v = sub_model(model, direction, grid)
     m_star, v_star = centered_effect(model, direction, grid)
     with open(out / "effects.csv", "w", newline="") as fh:
@@ -181,23 +197,18 @@ def cmd_effects(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _resolve(args, {"experiment": None, "seed": 0, "out": "out"})
-    file_cfg = _load_config_file(getattr(args, "config", None))
-    if cfg["experiment"] not in ("gfunction", "paths"):
+    cfg, file_cfg = _resolve(args, {"experiment": None, "seed": 0, "out": "out"})
+    experiments = {"gfunction": (GFunctionBenchConfig, bench_mod.run_gfunction_benchmark),
+                   "paths": (PathsBenchConfig, bench_mod.run_paths_benchmark)}
+    if cfg["experiment"] not in experiments:
         raise InputError("bench experiment must be 'gfunction' or 'paths'")
+    config_cls, run = experiments[cfg["experiment"]]
+    seed = _int(cfg, "seed")
     out = _out_dir(cfg)
-    _echo_config(out, {**cfg, **{k: v for k, v in file_cfg.items()}})
-    seed = int(cfg["seed"])
-    if cfg["experiment"] == "gfunction":
-        known = {f.name for f in GFunctionBenchConfig.__dataclass_fields__.values()}
-        opts = {k: v for k, v in file_cfg.items() if k in known}
-        opts.setdefault("master_seed", seed)
-        report = bench_mod.run_gfunction_benchmark(GFunctionBenchConfig(**_tupled(opts)))
-    else:
-        known = {f.name for f in PathsBenchConfig.__dataclass_fields__.values()}
-        opts = {k: v for k, v in file_cfg.items() if k in known}
-        opts.setdefault("master_seed", seed)
-        report = bench_mod.run_paths_benchmark(PathsBenchConfig(**_tupled(opts)))
+    _echo_config(out, {**cfg, **file_cfg})
+    opts = {k: v for k, v in file_cfg.items() if k in config_cls.__dataclass_fields__}
+    opts.setdefault("master_seed", seed)
+    report = run(config_cls(**_tupled(opts)))
     report.to_csv(out / "report.csv")
     report.save_summary(out / "summary.json")
     write_traces(out / "traces.csv", report.traces)

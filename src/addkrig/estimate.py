@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky
 from scipy.optimize import minimize
 
-from .gp import Dataset
+from .gp import Dataset, _check_pivots
 from .kernels import AdditiveKernel, cov_matrix, grad_cov_matrix, make_kernel
 
 __all__ = [
@@ -153,10 +153,7 @@ def _nll_core(kernel: AdditiveKernel, noise: float, dataset: Dataset):
     """(value, cholesky factor, alpha) of the reduced negative log-likelihood."""
     K = cov_matrix(kernel, dataset.X, noise)
     L = cholesky(K, lower=True)  # raises LinAlgError when singular
-    # Exactly singular matrices can slip through with a tiny positive pivot;
-    # the threshold sits far below any admissible noise floor.
-    if np.min(np.diag(L)) ** 2 <= 1e-12 * np.trace(K) / K.shape[0]:
-        raise np.linalg.LinAlgError("covariance matrix is numerically singular")
+    _check_pivots(L, K)
     alpha = cho_solve((L, True), dataset.Y)
     value = 2.0 * float(np.sum(np.log(np.diag(L)))) + float(dataset.Y @ alpha)
     return value, L, alpha

@@ -103,6 +103,8 @@ class Dataset:
         if header[-1] != "y" or any(not h.startswith("x") for h in header[:-1]):
             raise ValueError("expected header x1,...,xd,y")
         body = [r for r in rows[1:] if r]
+        if not body:
+            raise ValueError(f"no data rows in {path}")
         if any(len(r) != len(header) for r in body):
             raise ValueError("row width does not match header")
         data = np.array([[float(v) for v in r] for r in body], dtype=float)
@@ -156,6 +158,8 @@ def detect_degenerate_design(
     K = cov_matrix(kernel, X, 0.0)
     n = K.shape[0]
     if tol is None:
+        # A diagnosis, not a decision: looser than _check_pivots, so every
+        # covariance that fit_gp refuses gets a non-empty report.
         tol = 1e-8 * np.trace(K) / n
     # Rank-revealing Cholesky in natural row order: a column whose residual
     # diagonal falls below tol is a dependent point; earlier points are
@@ -219,6 +223,8 @@ class FittedGP:
     def from_json(cls, obj) -> "FittedGP":
         if isinstance(obj, str):
             obj = json.loads(obj)
+        if not isinstance(obj, dict):
+            raise ValueError("model must be a JSON object")
         if obj.get("schema_version") != MODEL_SCHEMA_VERSION:
             raise ValueError(f"unsupported model schema_version {obj.get('schema_version')!r}")
         kernel = kernel_from_json(obj["kernel"])
@@ -249,15 +255,20 @@ def fit_gp(
     K = cov_matrix(kernel, dataset.X, noise)
     try:
         L = cholesky(K, lower=True)
-        # Round-off can let the factorization of a singular matrix "succeed";
-        # a pivot below the detection tolerance is still a degenerate design.
-        if np.min(np.diag(L)) ** 2 <= 1e-8 * np.trace(K) / K.shape[0]:
-            raise np.linalg.LinAlgError
+        _check_pivots(L, K)
     except np.linalg.LinAlgError:
         raise CholeskyFailure(detect_degenerate_design(kernel, dataset.X)) from None
     y_mean = float(np.mean(dataset.Y)) if center else 0.0
     alpha = cho_solve((L, True), dataset.Y - y_mean)
     return FittedGP(kernel, float(noise), dataset, L, alpha, y_mean)
+
+
+def _check_pivots(L: np.ndarray, K: np.ndarray) -> None:
+    """The one singularity test of a factor L of K, shared by fit_gp and the likelihood."""
+    # An exactly singular K can factorize with a tiny positive pivot; the
+    # threshold sits far below any admissible noise floor.
+    if np.min(np.diag(L)) ** 2 <= 1e-12 * np.trace(K) / K.shape[0]:
+        raise np.linalg.LinAlgError("covariance matrix is numerically singular")
 
 
 def _query_points(x) -> tuple[bool, np.ndarray]:
@@ -302,10 +313,14 @@ def _require_additive(gp: FittedGP) -> None:
         raise ValueError("sub-models are only defined for additive composition")
 
 
-def _direction_cross(gp: FittedGP, direction: int, x_i) -> np.ndarray:
+def _direction_solve(gp: FittedGP, direction: int, xi: np.ndarray):
+    """(spec, k_i, v_i): direction's kernel, its cross-covariance with the design
+    at the points xi (a 1-d array) and the sub-model variance there."""
+    _require_additive(gp)
     spec = gp.kernel.components[direction]
-    xi = np.atleast_1d(np.asarray(x_i, dtype=float))
-    return spec.variance * spec.corr(xi[:, None], gp.dataset.X[None, :, direction])
+    k_i = cross_cov(AdditiveKernel((spec,)), xi[:, None], gp.dataset.X[:, [direction]])
+    v = solve_triangular(gp.factor, k_i.T, lower=True)
+    return spec, k_i, _clamp_var(spec.variance - np.sum(v * v, axis=0))
 
 
 def sub_model(gp: FittedGP, direction: int, x_i):
@@ -314,23 +329,12 @@ def sub_model(gp: FittedGP, direction: int, x_i):
     The constant trend is split evenly across directions so that the
     sub-model means sum exactly to the full predictor mean.
     """
-    _require_additive(gp)
-    spec = gp.kernel.components[direction]
     xi = np.asarray(x_i, dtype=float)
-    single = xi.ndim == 0
-    k_i = _direction_cross(gp, direction, xi)
+    _, k_i, var = _direction_solve(gp, direction, np.atleast_1d(xi))
     mean = gp.y_mean / gp.kernel.dims + k_i @ gp.weights
-    v = solve_triangular(gp.factor, k_i.T, lower=True)
-    var = _clamp_var(spec.variance - np.sum(v * v, axis=0))
-    if single:
+    if xi.ndim == 0:
         return float(mean[0]), float(var[0])
     return mean, var
-
-
-def _integrated_cross(gp: FittedGP, direction: int) -> np.ndarray:
-    """I_i[j] = integral over s of K_i(x_j^(i), s)."""
-    spec = gp.kernel.components[direction]
-    return np.asarray(integral_univariate(spec, gp.dataset.X[:, direction]))
 
 
 def centered_effect(gp: FittedGP, direction: int, x_i):
@@ -340,17 +344,13 @@ def centered_effect(gp: FittedGP, direction: int, x_i):
     Z_i(x) - int Z_i given the observations, assembled from the closed-form
     kernel integrals.
     """
-    _require_additive(gp)
-    spec = gp.kernel.components[direction]
     xi = np.asarray(x_i, dtype=float)
-    single = xi.ndim == 0
-    k_i = _direction_cross(gp, direction, xi)
-    I_i = _integrated_cross(gp, direction)
+    spec, k_i, v_i = _direction_solve(gp, direction, np.atleast_1d(xi))
+    I_i = np.asarray(integral_univariate(spec, gp.dataset.X[:, direction]))  # int K_i(x_j, s) ds
 
     mean = (k_i - I_i) @ gp.weights
 
     Kinv_I = cho_solve((gp.factor, True), I_i)
-    _, v_i = sub_model(gp, direction, np.atleast_1d(xi))
     single_int = np.asarray(integral_univariate(spec, np.atleast_1d(xi)))
     var = (
         v_i
@@ -360,6 +360,6 @@ def centered_effect(gp: FittedGP, direction: int, x_i):
         - I_i @ Kinv_I
     )
     var = _clamp_var(var)
-    if single:
+    if xi.ndim == 0:
         return float(mean[0]), float(var[0])
     return mean, var

@@ -128,13 +128,7 @@ def eval_kernel(kernel: AdditiveKernel, x, y) -> float:
         raise ValueError(f"expected {kernel.dims}-vectors, got shapes {x.shape} and {y.shape}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("kernel inputs must be finite")
-    vals = [k(x[i], y[i]) for i, k in enumerate(kernel.components)]
-    if kernel.is_additive:
-        return float(sum(vals))
-    out = 1.0
-    for k, xi, yi in zip(kernel.components, x, y):
-        out *= k.variance * k.corr(xi, yi)
-    return float(out)
+    return float(cross_cov(kernel, x[None, :], y[None, :])[0, 0])
 
 
 def _corr_matrix(spec: UnivariateKernel, xi, yi) -> np.ndarray:
@@ -281,13 +275,14 @@ def kernel_from_json(obj) -> AdditiveKernel:
     """Inverse of :func:`kernel_to_json`; accepts a dict or a JSON string."""
     if isinstance(obj, str):
         obj = json.loads(obj)
+    if not isinstance(obj, dict):
+        raise ValueError("kernel description must be a JSON object")
     d = int(obj["dims"])
     fam = obj["family"]
-    fams = fam if isinstance(fam, list) else [fam] * d
-    comps = tuple(
-        UnivariateKernel(fams[i], float(obj["variance"][i]), float(obj["range"][i]))
-        for i in range(d)
-    )
+    cols = (fam if isinstance(fam, list) else [fam] * d, obj["variance"], obj["range"])
+    if not all(isinstance(c, list) and len(c) == d for c in cols):
+        raise ValueError(f"kernel family, variance and range need {d} entries each")
+    comps = tuple(UnivariateKernel(f, float(v), float(t)) for f, v, t in zip(*cols))
     return AdditiveKernel(comps, obj.get("composition", "additive"))
 
 

@@ -244,3 +244,57 @@ class TestBench:
                      "--out", str(out)]) == EXIT_OK
         rows = (out / "report.csv").read_text().strip().splitlines()
         assert len(rows) == 3  # header + 2 methods x 1 path
+
+
+def _write(path, text) -> str:
+    path.write_text(text)
+    return str(path)
+
+
+def _model_file(tmp_path, edit) -> str:
+    rng = np.random.default_rng(4)
+    ds = Dataset(rng.uniform(size=(6, 2)), rng.standard_normal(6))
+    obj = __import__("addkrig").fit_gp(make_kernel("gaussian", [1.0, 0.5], [0.4, 0.6]), ds, 1e-4).to_json()
+    return _write(tmp_path / "model.json", json.dumps(edit(obj)))
+
+
+def _kernel_edit(**fields):
+    return lambda obj: {**obj, "kernel": {**obj["kernel"], **fields}}
+
+
+# Each case builds an argv (minus --out) from (tmp_path, data_csv).
+MALFORMED_INPUTS = {
+    "csv-without-rows": lambda t, d: ["fit", "--data", _write(t / "e.csv", "x1,x2,y\n")],
+    "fit-config-is-list": lambda t, d: ["fit", "--data", str(d), "--config", _write(t / "c.json", "[1, 2]")],
+    "bench-config-is-list": lambda t, d: ["bench", "paths", "--config", _write(t / "c.json", "[1, 2]")],
+    "non-integer-iterations": lambda t, d: [
+        "fit", "--data", str(d), "--config", _write(t / "c.json", '{"iterations": "abc"}')],
+    "negative-grid-size": lambda t, d: ["effects", "--model", _model_file(t, lambda o: o), "--grid-size", "-3"],
+    "short-variance-list": lambda t, d: ["effects", "--model", _model_file(t, _kernel_edit(variance=[1.0]))],
+    "scalar-range": lambda t, d: ["effects", "--model", _model_file(t, _kernel_edit(range=0.5))],
+    "model-is-list": lambda t, d: [
+        "predict", "--model", _model_file(t, lambda o: [o]), "--points", _write(t / "p.csv", "0.5,0.5\n")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_is_an_input_error(case, tmp_path, data_csv, capsys):
+    argv = MALFORMED_INPUTS[case](tmp_path, data_csv) + ["--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_INPUT
+    assert "error:" in capsys.readouterr().err
+
+
+def test_ulm_on_full_factorial_grid_is_refit(tmp_path):
+    # On a 5x5 grid the additive covariance is singular but for tau^2, which
+    # ULM drives to its floor; the model it accepts must still be written.
+    g = np.linspace(0.0, 1.0, 5)
+    X = np.array([[a, b] for a in g for b in g])
+    data = tmp_path / "grid.csv"
+    Dataset(X, np.sin(6 * X[:, 0]) + X[:, 1] ** 2).to_csv(data)
+    out = tmp_path / "fit"
+    assert main(["fit", "--data", str(data), "--method", "ulm", "--kernel", "gaussian",
+                 "--out", str(out)]) == EXIT_OK
+    model = str(out / "model.json")
+    points = _write(tmp_path / "p.csv", "0.3,0.6\n0.9,0.1\n")
+    assert main(["predict", "--model", model, "--points", points, "--out", str(tmp_path / "p")]) == EXIT_OK
+    assert main(["effects", "--model", model, "--out", str(tmp_path / "e")]) == EXIT_OK

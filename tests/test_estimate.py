@@ -19,6 +19,7 @@ from addkrig import (
 from addkrig import estimate
 from addkrig.bench import lhs_maximin, sample_gp_path
 from addkrig.estimate import HyperBounds, _full_bounds, _make_objective, nll_value_and_grad
+from addkrig.gp import fit_gp
 from addkrig.kernels import cov_matrix
 
 
@@ -378,3 +379,27 @@ class TestHelpers:
         assert lines[1].startswith("abc,1,1,")
         cums = [int(l.split(",")[3]) for l in lines[1:]]
         assert cums == sorted(cums)
+
+
+class TestSingularityAgreement:
+    def test_fit_gp_accepts_what_the_likelihood_accepts(self):
+        g = np.linspace(0.0, 1.0, 5)
+        grid = np.array([[a, b] for a in g for b in g])
+        rect = np.array([[0.2, 0.3], [0.7, 0.3], [0.2, 0.8], [0.7, 0.8]])
+        near_singular = 0  # accepted cases with pivot^2 in (1e-12, 1e-8] * tr(K)/n
+        for seed, X in enumerate([grid, rect, lhs_maximin(30, 2, seed=5, n_improvement_steps=200)]):
+            rng = np.random.default_rng(seed)
+            ds = Dataset(X, rng.standard_normal(len(X)))
+            for noise in np.logspace(-13.0, -6.0, 22):
+                for fam in ("gaussian", "matern32"):
+                    p = HyperParams(rng.uniform(0.2, 2.0, 2), rng.uniform(0.1, 1.0, 2), noise, fam)
+                    try:
+                        value = neg_log_likelihood(p, ds)
+                    except np.linalg.LinAlgError:
+                        continue
+                    model = fit_gp(p.to_kernel(), ds, p.noise, center=False)
+                    assert model.log_det + ds.Y @ model.weights == pytest.approx(value, rel=1e-12)
+                    K = cov_matrix(p.to_kernel(), X, noise)
+                    pivot = np.min(np.diag(model.factor)) ** 2 / (np.trace(K) / len(X))
+                    near_singular += 1e-12 < pivot <= 1e-8
+        assert near_singular > 0

@@ -15,6 +15,7 @@ from addkrig import (
     sub_model,
 )
 from addkrig.bench import lhs_maximin
+from addkrig.estimate import estimate_rlm
 
 RECT3 = np.array([[0.2, 0.3], [0.7, 0.3], [0.2, 0.8]])
 CORNER = np.array([0.7, 0.8])
@@ -282,3 +283,40 @@ class TestSerialization:
         x = rng.uniform(size=2)
         assert predict_mean(back, x) == pytest.approx(predict_mean(gp, x), rel=1e-12)
         assert predict_var(back, x) == pytest.approx(predict_var(gp, x), abs=1e-12)
+
+
+class TestOneCovariancePath:
+    def test_centered_effect_builds_k_i_and_solves_once(self, monkeypatch):
+        from addkrig import gp as gp_mod
+        from addkrig.kernels import UnivariateKernel
+
+        model = fit_gp(gauss2(), Dataset(RECT3, np.array([1.0, 2.0, -0.5])), 1e-6)
+        counts = {"corr": 0, "solve_triangular": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(UnivariateKernel, "corr", counted("corr", UnivariateKernel.corr))
+        monkeypatch.setattr(gp_mod, "solve_triangular", counted("solve_triangular", gp_mod.solve_triangular))
+        centered_effect(model, 0, np.linspace(0.0, 1.0, 7))
+        assert counts == {"corr": 1, "solve_triangular": 1}
+
+
+class TestScaleSweep:
+    """_VAR_CLAMP is absolute; no response scale in 1e-3..1e5 may trip it."""
+
+    @pytest.mark.parametrize("family", ["gaussian", "matern32"])
+    @pytest.mark.parametrize("scale", [10.0**k for k in range(-3, 6)])
+    def test_variances_stay_in_round_off_window(self, family, scale):
+        rng = np.random.default_rng(11)
+        X = lhs_maximin(20, 2, seed=11, n_improvement_steps=200)
+        Y = scale * (np.sin(5 * X[:, 0]) + X[:, 1] ** 2 + 0.01 * rng.standard_normal(20))
+        result = estimate_rlm(Dataset(X, Y - Y.mean()), family=family, n_iterations=2)
+        model = fit_gp(result.params.to_kernel(), Dataset(X, Y), result.params.noise)
+        for pts in (X, rng.uniform(size=(200, 2))):
+            assert np.all(predict_var(model, pts) >= 0.0)
+        for i in range(2):
+            assert np.all(centered_effect(model, i, np.linspace(0.0, 1.0, 101))[1] >= 0.0)
