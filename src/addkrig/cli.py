@@ -48,15 +48,14 @@ def _load_config_file(path):
     return cfg
 
 
-def _resolve(args, defaults: dict) -> tuple[dict, dict]:
-    """(config, config-file values): file values merged under explicit flags; flags win."""
-    file_cfg = _load_config_file(args.config)
-    cfg = {**defaults, **file_cfg}
+def _resolve(args, defaults: dict) -> dict:
+    """Config-file values merged under explicit flags; flags win."""
+    cfg = {**defaults, **_load_config_file(args.config)}
     for key in defaults:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    return cfg, file_cfg
+    return cfg
 
 
 def _int(cfg: dict, key: str) -> int:
@@ -79,7 +78,7 @@ def _out_dir(cfg) -> Path:
 
 
 def cmd_fit(args) -> int:
-    cfg, _ = _resolve(args, {
+    cfg = _resolve(args, {
         "data": None, "kernel": "gaussian", "composition": "additive",
         "method": "rlm", "iterations": 5, "seed": 0, "out": "out",
     })
@@ -123,7 +122,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg, _ = _resolve(args, {"model": None, "points": None, "out": "out"})
+    cfg = _resolve(args, {"model": None, "points": None, "out": "out"})
     if cfg["model"] is None or cfg["points"] is None:
         raise InputError("predict requires --model and --points")
     model = _load_model(cfg["model"])
@@ -171,7 +170,7 @@ def _is_float_row(row) -> bool:
 
 
 def cmd_effects(args) -> int:
-    cfg, _ = _resolve(args, {"model": None, "direction": 1, "grid_size": 101, "out": "out"})
+    cfg = _resolve(args, {"model": None, "direction": 1, "grid_size": 101, "out": "out"})
     if cfg["model"] is None:
         raise InputError("effects requires --model")
     model = _load_model(cfg["model"])
@@ -197,18 +196,20 @@ def cmd_effects(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg, file_cfg = _resolve(args, {"experiment": None, "seed": 0, "out": "out"})
+    cfg = _resolve(args, {"experiment": None, "seed": 0, "out": "out"})
     experiments = {"gfunction": (GFunctionBenchConfig, bench_mod.run_gfunction_benchmark),
                    "paths": (PathsBenchConfig, bench_mod.run_paths_benchmark)}
     if cfg["experiment"] not in experiments:
         raise InputError("bench experiment must be 'gfunction' or 'paths'")
     config_cls, run = experiments[cfg["experiment"]]
+    if "master_seed" in cfg and args.seed is None:  # the studies' own name for the seed
+        cfg["seed"] = cfg["master_seed"]
+    cfg.pop("master_seed", None)
     seed = _int(cfg, "seed")
+    opts = _study_options(config_cls, cfg)
     out = _out_dir(cfg)
-    _echo_config(out, {**cfg, **file_cfg})
-    opts = {k: v for k, v in file_cfg.items() if k in config_cls.__dataclass_fields__}
-    opts.setdefault("master_seed", seed)
-    report = run(config_cls(**_tupled(opts)))
+    _echo_config(out, cfg)
+    report = run(config_cls(**opts, master_seed=seed))
     report.to_csv(out / "report.csv")
     report.save_summary(out / "summary.json")
     write_traces(out / "traces.csv", report.traces)
@@ -217,8 +218,20 @@ def cmd_bench(args) -> int:
     return EXIT_PARTIAL if report.failures else EXIT_OK
 
 
-def _tupled(opts: dict) -> dict:
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in opts.items()}
+def _study_options(config_cls, cfg: dict) -> dict:
+    """The config's study fields, each converted to the type of the field's default."""
+    opts = {}
+    for f in config_cls.__dataclass_fields__.values():
+        if f.name not in cfg:
+            continue
+        val, kind = cfg[f.name], type(f.default)
+        try:
+            if kind is tuple and not isinstance(val, list):
+                raise TypeError
+            opts[f.name] = tuple(map(type(f.default[0]), val)) if kind is tuple else kind(val)
+        except (TypeError, ValueError):
+            raise InputError(f"{f.name} must be like {json.dumps(f.default)}, got {val!r}") from None
+    return opts
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -27,15 +27,17 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
+from scipy.linalg.lapack import dpotri as potri
 from scipy.optimize import minimize
 
 from .gp import Dataset, _check_pivots
-from .kernels import AdditiveKernel, cov_matrix, grad_cov_matrix, make_kernel
+from .kernels import AdditiveKernel, _check_params, _corr, make_kernel
 
 __all__ = [
     "HyperParams",
@@ -149,30 +151,62 @@ def default_bounds(dataset: Dataset) -> HyperBounds:
 # ---------------------------------------------------------------------------
 
 
-def _nll_core(kernel: AdditiveKernel, noise: float, dataset: Dataset):
-    """(value, cholesky factor, alpha) of the reduced negative log-likelihood."""
-    K = cov_matrix(kernel, dataset.X, noise)
-    L = cholesky(K, lower=True)  # raises LinAlgError when singular
-    _check_pivots(L, K)
-    alpha = cho_solve((L, True), dataset.Y)
-    value = 2.0 * float(np.sum(np.log(np.diag(L)))) + float(dataset.Y @ alpha)
-    return value, L, alpha
+class _Likelihood:
+    """The objective on one dataset, with its distance matrices |x_i - x_j| built once.
 
+    One Cholesky factorization per call; gradient entries are <W, dK/dp> with W = K^-1 -
+    alpha alpha^T (Rasmussen & Williams 2006, 5.4.1); dK/dtheta_i is the covariance term
+    holding theta_i times q_i = d log r_i / d theta_i."""
 
-def neg_log_likelihood(params: HyperParams, dataset: Dataset) -> float:
-    """log det K + Y^T K^-1 Y for the covariance induced by ``params``."""
-    value, _, _ = _nll_core(params.to_kernel(), params.noise, dataset)
-    return value
+    def __init__(self, dataset: Dataset):
+        self.Y = dataset.Y
+        self.dist = [np.abs(x[:, None] - x[None, :]) for x in dataset.X.T]
 
+    def _solve(self, K: np.ndarray, noise: float) -> tuple[float, np.ndarray]:
+        """(value, W) from one factorization of K + tau^2 I; K is overwritten."""
+        if not np.isfinite(noise) or noise < 0:
+            raise ValueError(f"noise variance must be finite and >= 0, got {noise}")
+        K.flat[:: len(K) + 1] += noise
+        L = cholesky(K, lower=True, check_finite=False)  # raises LinAlgError when singular
+        _check_pivots(L, K)
+        alpha = cho_solve((L, True), self.Y, check_finite=False)
+        value = 2.0 * float(np.sum(np.log(np.diag(L)))) + float(self.Y @ alpha)
+        W = potri(L, lower=1)[0]  # lower triangle of K^-1; cannot fail, the pivots are > 0
+        W += np.tril(W, -1).T
+        return value, W - np.outer(alpha, alpha)
 
-def _param_ids(params: HyperParams) -> list[str]:
-    if params.composition == "additive":
-        ids = [f"variance_{i}" for i in range(params.d)]
-    else:
-        ids = ["variance_0"]
-    ids += [f"lengthscale_{i}" for i in range(params.d)]
-    ids.append("noise")
-    return ids
+    def __call__(self, p: HyperParams) -> tuple[float, np.ndarray]:
+        """(value, gradient over {sigma_i^2 (sigma_0^2 alone for tensor), theta_i, tau^2})."""
+        _check_params(p.family, p.variances, p.lengthscales)
+        terms = [_corr(p.family, r, t, dlog=True) for r, t in zip(self.dist, p.lengthscales)]
+        if p.composition == "additive":
+            value, W = self._solve(sum(v * R for v, (R, _) in zip(p.variances, terms)), p.noise)
+            WR = [W * R for R, _ in terms]
+            grad = [x.sum() for x in WR]
+            grad += [v * np.vdot(x, q) for v, x, (_, q) in zip(p.variances, WR, terms)]
+        else:
+            P = math.prod(R for R, _ in terms)  # correlation product
+            value, W = self._solve(np.prod(p.variances) * P, p.noise)
+            WP = W * P
+            grad = [np.prod(p.variances[1:]) * WP.sum()]
+            grad += [np.prod(p.variances) * np.vdot(WP, q) for _, q in terms]
+        return value, np.append(grad, np.trace(W))
+
+    def direction(self, l: int, p: HyperParams):
+        """Objective over (sigma_l^2, theta_l, tau^2) with the other directions of the additive
+        ``p`` fixed in K_rest = sum_{j != l} sigma_j^2 r_j: a call evaluates one correlation."""
+        K_rest = sum(v * _corr(p.family, r, t)
+                     for j, (r, v, t) in enumerate(zip(self.dist, p.variances, p.lengthscales)) if j != l)
+
+        def value_and_grad(x):
+            v, t, noise = x
+            _check_params(p.family, v, t)
+            R, q = _corr(p.family, self.dist[l], t, dlog=True)
+            value, W = self._solve(K_rest + v * R, noise)
+            WR = W * R
+            return value, np.array([WR.sum(), v * np.vdot(WR, q), np.trace(W)])
+
+        return value_and_grad
 
 
 def nll_value_and_grad(params: HyperParams, dataset: Dataset, ids=None) -> tuple[float, np.ndarray]:
@@ -183,14 +217,15 @@ def nll_value_and_grad(params: HyperParams, dataset: Dataset, ids=None) -> tuple
     alpha = K^-1 Y.  For the tensor composition the variance block collapses to
     the single overall variance (direction 0), matching the optimization vector.
     """
-    kernel = params.to_kernel()
-    value, L, alpha = _nll_core(kernel, params.noise, dataset)
-    Kinv = cho_solve((L, True), np.eye(dataset.n))
-    grad = []
-    for pid in _param_ids(params) if ids is None else ids:
-        G = grad_cov_matrix(kernel, dataset.X, params.noise, pid)
-        grad.append(float(np.sum(Kinv * G)) - float(alpha @ G @ alpha))
-    return value, np.array(grad)
+    value, grad = _Likelihood(dataset)(params)
+    n_var = params.d if params.composition == "additive" else 1
+    names = [f"variance_{i}" for i in range(n_var)] + [f"lengthscale_{i}" for i in range(params.d)]
+    return value, grad if ids is None else grad[[(names + ["noise"]).index(pid) for pid in ids]]
+
+
+def neg_log_likelihood(params: HyperParams, dataset: Dataset) -> float:
+    """log det K + Y^T K^-1 Y for the covariance induced by ``params``."""
+    return nll_value_and_grad(params, dataset)[0]
 
 
 def nll_gradient(params: HyperParams, dataset: Dataset) -> np.ndarray:
@@ -328,6 +363,8 @@ class EstimationResult:
 def _make_objective(dataset, family, composition, d):
     """Objective over the full optimization vector for the given composition."""
 
+    lik = _Likelihood(dataset)
+
     def unpack(x) -> HyperParams:
         if composition == "additive":
             variances = x[:d]
@@ -338,7 +375,7 @@ def _make_objective(dataset, family, composition, d):
         return HyperParams(variances, rest[:d], float(rest[d]), family, composition)
 
     def value_and_grad(x):
-        return nll_value_and_grad(unpack(x), dataset)
+        return lik(unpack(x))
 
     return unpack, value_and_grad
 
@@ -428,24 +465,15 @@ def estimate_rlm(
     current = np.inf
     converged = True
 
-    def make_inner(l):
-        ids = [f"variance_{l}", f"lengthscale_{l}", "noise"]
-
-        def value_and_grad(x3):
-            v = variances.copy()
-            t = lengthscales.copy()
-            v[l], t[l] = x3[0], x3[1]
-            p = HyperParams(v, t, float(x3[2]), family, "additive")
-            return nll_value_and_grad(p, dataset, ids)
-
-        return value_and_grad
+    lik = _Likelihood(dataset)
 
     for k in range(1, n_iterations + 1):
         cycle_start = current
         for l in range(d):
             sigma_start = variances[l] if variances[l] > 0 else sigma_kick
             start = np.array([sigma_start, lengthscales[l], noise])
-            res = optimize_local(make_inner(l), inner_box, start, max_evals=max_evals_inner)
+            res = optimize_local(lik.direction(l, HyperParams(variances, lengthscales, noise, family)),
+                                 inner_box, start, max_evals=max_evals_inner)
             if res.value <= current:
                 variances[l], lengthscales[l] = res.x[0], res.x[1]
                 noise = float(res.x[2])

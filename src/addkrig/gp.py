@@ -227,9 +227,12 @@ class FittedGP:
             raise ValueError("model must be a JSON object")
         if obj.get("schema_version") != MODEL_SCHEMA_VERSION:
             raise ValueError(f"unsupported model schema_version {obj.get('schema_version')!r}")
-        kernel = kernel_from_json(obj["kernel"])
+        try:
+            kernel, noise = kernel_from_json(obj["kernel"]), float(obj["noise"])
+        except TypeError as exc:  # a null or a list where a number belongs
+            raise ValueError(f"malformed model: {exc}") from None
         ds = Dataset(np.asarray(obj["x"], dtype=float), np.asarray(obj["y"], dtype=float))
-        return fit_gp(kernel, ds, float(obj["noise"]))
+        return fit_gp(kernel, ds, noise)
 
     @classmethod
     def load(cls, path) -> "FittedGP":

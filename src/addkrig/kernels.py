@@ -13,8 +13,8 @@ kriging baseline).
 
 The module also provides the analytic integrals of a univariate kernel over
 [0, 1] needed by the centered-effect variance formulas, and the element-wise
-partial derivatives of covariance matrices used by gradient-based likelihood
-optimization.
+partial derivatives of covariance matrices, against which the likelihood
+gradient is tested.
 """
 
 from __future__ import annotations
@@ -44,6 +44,29 @@ _FAMILIES = ("gaussian", "matern32")
 _SQRT3 = math.sqrt(3.0)
 
 
+def _check_params(family: str, variance, lengthscale) -> None:
+    """Reject parameters no kernel accepts; variance and lengthscale may be arrays."""
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown kernel family {family!r}")
+    v, t = np.asarray(variance), np.asarray(lengthscale)
+    if not (np.isfinite(v) & (v >= 0)).all():
+        raise ValueError(f"variance must be finite and >= 0, got {variance}")
+    if not (np.isfinite(t) & (t > 0)).all():
+        raise ValueError(f"lengthscale must be finite and > 0, got {lengthscale}")
+
+
+def _corr(family: str, r, theta: float, dlog: bool = False):
+    """Unit-variance correlation at distances r = |x - y|; with ``dlog`` also q = d log corr /
+    d theta, r^2/theta^3 (Gaussian) or s^2/((1+s) theta) (Matern 3/2), finite where corr is 0."""
+    if family == "gaussian":
+        z = (r / theta) ** 2
+        R = np.exp(-0.5 * z)
+        return (R, z / theta) if dlog else R
+    s = _SQRT3 * r / theta
+    R = (1.0 + s) * np.exp(-s)
+    return (R, s**2 / ((1.0 + s) * theta)) if dlog else R
+
+
 @dataclass(frozen=True)
 class UnivariateKernel:
     """One direction's kernel: family name, variance sigma^2, lengthscale theta."""
@@ -53,29 +76,18 @@ class UnivariateKernel:
     lengthscale: float
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown kernel family {self.family!r}")
-        if not np.isfinite(self.variance) or self.variance < 0:
-            raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
-        if not np.isfinite(self.lengthscale) or self.lengthscale <= 0:
-            raise ValueError(f"lengthscale must be finite and > 0, got {self.lengthscale}")
+        _check_params(self.family, self.variance, self.lengthscale)
 
     def corr(self, x, y):
         """Unit-variance correlation r(x, y); broadcasts over arrays."""
         r = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-        if self.family == "gaussian":
-            return np.exp(-0.5 * (r / self.lengthscale) ** 2)
-        s = _SQRT3 * r / self.lengthscale
-        return (1.0 + s) * np.exp(-s)
+        return _corr(self.family, r, self.lengthscale)
 
     def corr_dtheta(self, x, y):
         """Element-wise derivative of corr(x, y) w.r.t. the lengthscale."""
         r = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-        th = self.lengthscale
-        if self.family == "gaussian":
-            return np.exp(-0.5 * (r / th) ** 2) * r**2 / th**3
-        s = _SQRT3 * r / th
-        return s**2 * np.exp(-s) / th
+        R, q = _corr(self.family, r, self.lengthscale, dlog=True)
+        return R * q
 
     def __call__(self, x, y):
         return self.variance * self.corr(x, y)
@@ -131,13 +143,6 @@ def eval_kernel(kernel: AdditiveKernel, x, y) -> float:
     return float(cross_cov(kernel, x[None, :], y[None, :])[0, 0])
 
 
-def _corr_matrix(spec: UnivariateKernel, xi, yi) -> np.ndarray:
-    """Unit-variance correlation matrix between two coordinate vectors."""
-    xi = np.asarray(xi, dtype=float)
-    yi = np.asarray(yi, dtype=float)
-    return spec.corr(xi[:, None], yi[None, :])
-
-
 def cross_cov(kernel: AdditiveKernel, X, Y) -> np.ndarray:
     """Covariance matrix K(x^(i), y^(j)) between two designs (n x d, m x d)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -147,11 +152,11 @@ def cross_cov(kernel: AdditiveKernel, X, Y) -> np.ndarray:
     if kernel.is_additive:
         out = np.zeros((X.shape[0], Y.shape[0]))
         for i, k in enumerate(kernel.components):
-            out += k.variance * _corr_matrix(k, X[:, i], Y[:, i])
+            out += k.variance * k.corr(X[:, i, None], Y[None, :, i])
         return out
     out = np.full((X.shape[0], Y.shape[0]), _total_variance(kernel))
     for i, k in enumerate(kernel.components):
-        out *= _corr_matrix(k, X[:, i], Y[:, i])
+        out *= k.corr(X[:, i, None], Y[None, :, i])
     return out
 
 
@@ -196,7 +201,7 @@ def grad_cov_matrix(kernel: AdditiveKernel, X, noise: float, param_id: str) -> n
     xi = X[:, idx]
     if kernel.is_additive:
         if name == "variance":
-            return _corr_matrix(spec, xi, xi)
+            return spec.corr(xi[:, None], xi[None, :])
         return spec.variance * spec.corr_dtheta(xi[:, None], xi[None, :])
 
     # Tensor composition: K = (prod_j sigma_j^2) * hadamard_j r_j.
@@ -205,10 +210,10 @@ def grad_cov_matrix(kernel: AdditiveKernel, X, noise: float, param_id: str) -> n
     for j, k in enumerate(kernel.components):
         if j == idx:
             continue
-        rest *= _corr_matrix(k, X[:, j], X[:, j])
+        rest *= k.corr(X[:, j, None], X[None, :, j])
         var_rest *= k.variance
     if name == "variance":
-        return var_rest * rest * _corr_matrix(spec, xi, xi)
+        return var_rest * rest * spec.corr(xi[:, None], xi[None, :])
     return var_rest * spec.variance * rest * spec.corr_dtheta(xi[:, None], xi[None, :])
 
 

@@ -245,6 +245,22 @@ class TestBench:
         rows = (out / "report.csv").read_text().strip().splitlines()
         assert len(rows) == 3  # header + 2 methods x 1 path
 
+    @pytest.mark.parametrize("key", ["seed", "master_seed"])
+    def test_seed_flag_wins_and_is_echoed(self, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "dims": [2], "n_paths": 1, "points_per_dim": 5, "lhs_steps": 50,
+            "rlm_iterations": 1, "ulm_max_evals": 50, "rlm_max_evals_inner": 20, key: 3,
+        }))
+        out = tmp_path / "bench"
+        assert main(["bench", "paths", "--config", str(cfg), "--seed", "5",
+                     "--out", str(out)]) == EXIT_OK
+        echo = json.loads((out / "config_echo.json").read_text())
+        assert echo["seed"] == 5 and "master_seed" not in echo
+        with open(out / "report.csv", newline="") as fh:
+            seeds = {row["seed"] for row in csv.DictReader(fh)}
+        assert seeds == {str(5 + 10000 * 2)}  # path seed = master seed + 10000 d + path
+
 
 def _write(path, text) -> str:
     path.write_text(text)
@@ -274,6 +290,11 @@ MALFORMED_INPUTS = {
     "scalar-range": lambda t, d: ["effects", "--model", _model_file(t, _kernel_edit(range=0.5))],
     "model-is-list": lambda t, d: [
         "predict", "--model", _model_file(t, lambda o: [o]), "--points", _write(t / "p.csv", "0.5,0.5\n")],
+    "null-noise": lambda t, d: [
+        "predict", "--model", _model_file(t, lambda o: {**o, "noise": None}), "--points", _write(t / "p.csv", "0.5,0.5\n")],
+    "null-dims": lambda t, d: ["effects", "--model", _model_file(t, _kernel_edit(dims=None))],
+    "text-n-paths": lambda t, d: ["bench", "paths", "--config", _write(t / "c.json", '{"n_paths": "abc"}')],
+    "text-dims": lambda t, d: ["bench", "paths", "--config", _write(t / "c.json", '{"dims": "ab"}')],
 }
 
 

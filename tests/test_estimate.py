@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from addkrig import (
     Bounds,
@@ -16,11 +17,11 @@ from addkrig import (
     nll_gradient,
     optimize_local,
 )
-from addkrig import estimate
+from addkrig import estimate, kernels
 from addkrig.bench import lhs_maximin, sample_gp_path
-from addkrig.estimate import HyperBounds, _full_bounds, _make_objective, nll_value_and_grad
+from addkrig.estimate import HyperBounds, _Likelihood, _full_bounds, _make_objective, nll_value_and_grad
 from addkrig.gp import fit_gp
-from addkrig.kernels import cov_matrix
+from addkrig.kernels import cov_matrix, grad_cov_matrix
 
 
 def dense_nll(params, dataset):
@@ -160,6 +161,79 @@ class TestValueAndGrad:
         res = run(centered)
         assert res.trace.total_calls > 0
         assert len(calls) == res.trace.total_calls
+
+
+def oracle_gradient(params, dataset):
+    """<K^-1, G> - alpha^T G alpha with each G = dK/dp from kernels.grad_cov_matrix."""
+    kernel = params.to_kernel()
+    K = cov_matrix(kernel, dataset.X, params.noise)
+    factor = cho_factor(K, lower=True)
+    Kinv = cho_solve(factor, np.eye(dataset.n))
+    alpha = cho_solve(factor, dataset.Y)
+    ids = [f"variance_{i}" for i in range(params.d if params.composition == "additive" else 1)]
+    ids += [f"lengthscale_{i}" for i in range(params.d)] + ["noise"]
+    grads = [grad_cov_matrix(kernel, dataset.X, params.noise, pid) for pid in ids]
+    return np.array([np.sum(Kinv * G) - alpha @ G @ alpha for G in grads])
+
+
+class TestLikelihoodEngine:
+    @pytest.mark.parametrize("run", [
+        lambda ds: estimate_rlm(ds, family="matern32", n_iterations=2),
+        lambda ds: estimate_ulm(ds, composition="additive", max_evals=200),
+        lambda ds: estimate_ulm(ds, family="matern32", composition="tensor", max_evals=200),
+    ], ids=["rlm", "ulm-additive", "ulm-tensor"])
+    def test_objective_builds_no_kernel_objects(self, run, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel assembly on the objective path")
+
+        for name in ("cov_matrix", "grad_cov_matrix", "cross_cov", "make_kernel"):
+            monkeypatch.setattr(kernels, name, refuse)
+            monkeypatch.setattr(estimate, name, refuse, raising=False)
+        for name in ("__post_init__", "corr", "corr_dtheta"):
+            monkeypatch.setattr(kernels.UnivariateKernel, name, refuse)
+        res = run(random_dataset(12, 3, 30))
+        assert res.trace.total_calls > 0
+        assert np.isfinite(res.best_value)
+
+    @pytest.mark.parametrize("fam", ["gaussian", "matern32"])
+    def test_rlm_direction_matches_full_evaluator(self, fam, monkeypatch):
+        d = 4
+        ds = random_dataset(14, d, 31)
+        rng = np.random.default_rng(32)
+        lik = _Likelihood(ds)
+        evaluated, real = [], estimate._corr
+        monkeypatch.setattr(estimate, "_corr", lambda *a, **k: evaluated.append(1) or real(*a, **k))
+        for _ in range(3):
+            v = rng.uniform(0.0, 2.0, d)
+            v[rng.integers(d)] = 0.0  # a direction RLM has not turned on yet
+            t = rng.uniform(0.05, 1.0, d)
+            noise = float(rng.uniform(1e-3, 0.5))
+            p = HyperParams(v, t, noise, fam)
+            for l in range(d):
+                vg = lik.direction(l, p)
+                evaluated.clear()
+                value, g = vg(np.array([v[l], t[l], noise]))
+                assert len(evaluated) == 1  # direction l's correlation alone
+                want_value, want_g = nll_value_and_grad(p, ds, [f"variance_{l}", f"lengthscale_{l}", "noise"])
+                assert value == pytest.approx(want_value, rel=1e-12)
+                np.testing.assert_allclose(g, want_g, rtol=1e-9)
+
+    @pytest.mark.parametrize("fam", ["gaussian", "matern32"])
+    @pytest.mark.parametrize("comp", ["additive", "tensor"])
+    def test_gradient_matches_grad_cov_matrix_oracle(self, fam, comp):
+        d = 3
+        ds = random_dataset(12, d, 33)
+        rng = np.random.default_rng(34)
+        cases = [(rng.uniform(0.2, 2.0, d), rng.uniform(0.1, 1.0, d)) for _ in range(3)]
+        cases.append((rng.uniform(0.2, 2.0, d), np.array([1e-3, 0.4, 1e-3])))  # correlations underflow
+        if comp == "tensor":
+            cases.append((np.array([0.0, 1.0, 1.0]), rng.uniform(0.1, 1.0, d)))
+        for v, t in cases:
+            if comp == "tensor":
+                v = np.concatenate([v[:1], np.ones(d - 1)])
+            p = HyperParams(v, t, float(rng.uniform(0.05, 0.5)), fam, comp)
+            want = oracle_gradient(p, ds)
+            np.testing.assert_allclose(nll_gradient(p, ds), want, rtol=1e-9)
 
 
 class TestOptimizeLocal:
