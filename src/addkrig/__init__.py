@@ -12,9 +12,9 @@ from .bench import (
     sobol_index,
 )
 from .estimate import (
-    Bounds,
     EstimationResult,
     EstimationTrace,
+    HyperBounds,
     HyperParams,
     additivity_ratio,
     default_bounds,
@@ -43,7 +43,6 @@ from .kernels import (
     cross_cov,
     double_integral_univariate,
     eval_kernel,
-    eval_univariate,
     grad_cov_matrix,
     integral_univariate,
     kernel_from_json,

@@ -34,7 +34,7 @@ from .estimate import (
     estimate_ulm,
 )
 from .gp import Dataset, fit_gp, predict_mean
-from .kernels import AdditiveKernel, cov_matrix
+from .kernels import _FAMILIES, AdditiveKernel, _check_params, cov_matrix, make_kernel
 
 __all__ = [
     "GFunctionSpec",
@@ -267,19 +267,36 @@ class BenchmarkReport:
 # ---------------------------------------------------------------------------
 
 
+_METHODS = ("rlm-additive", "ulm-additive", "ulm-tensor")
+
+
+def _check_minima(config, **minima) -> None:
+    """ValueError unless each named field (each entry of a tuple field) is >= its minimum."""
+    for name, low in minima.items():
+        if np.any(np.asarray(getattr(config, name)) < low):
+            raise ValueError(f"{name} must be >= {low}, got {getattr(config, name)}")
+
+
 @dataclass(frozen=True)
 class GFunctionBenchConfig:
     a: tuple = (1.0, 2.0, 3.0, 4.0)
     n_designs: int = 20
     design_size: int = 40
     family: str = "matern32"
-    methods: tuple = ("rlm-additive", "ulm-additive", "ulm-tensor")
+    methods: tuple = _METHODS
     rlm_iterations: int = 5
     test_size: int = 1000
     master_seed: int = 0
     lhs_steps: int = 2000
     ulm_max_evals: int = 5000
     rlm_max_evals_inner: int = 200
+
+    def __post_init__(self):
+        GFunctionSpec(self.a)  # raises unless every a_k > 0
+        if self.family not in _FAMILIES or not set(self.methods) <= set(_METHODS):
+            raise ValueError(f"unknown kernel family {self.family!r} or method in {self.methods}")
+        _check_minima(self, n_designs=0, design_size=2, rlm_iterations=1, test_size=2, master_seed=0,
+                      lhs_steps=0, ulm_max_evals=1, rlm_max_evals_inner=1)
 
 
 @dataclass(frozen=True)
@@ -296,29 +313,23 @@ class PathsBenchConfig:
     ulm_max_evals: int = 5000
     rlm_max_evals_inner: int = 200
 
-
-def _centered(dataset: Dataset) -> Dataset:
-    return Dataset(dataset.X, dataset.Y - np.mean(dataset.Y))
+    def __post_init__(self):
+        _check_params(self.family, self.true_variance, self.true_lengthscale)
+        _check_minima(self, dims=1, n_paths=0, points_per_dim=2, rlm_iterations=1, master_seed=0,
+                      lhs_steps=0, ulm_max_evals=1, rlm_max_evals_inner=1)
 
 
 def _run_method(method, dataset, family, bounds, cfg) -> EstimationResult:
-    centered = _centered(dataset)
+    centered = Dataset(dataset.X, dataset.Y - np.mean(dataset.Y))
     if method == "rlm-additive":
         return estimate_rlm(
             centered, family=family, bounds=bounds,
             n_iterations=cfg.rlm_iterations, max_evals_inner=cfg.rlm_max_evals_inner,
         )
-    if method == "ulm-additive":
-        return estimate_ulm(
-            centered, family=family, composition="additive",
-            bounds=bounds, max_evals=cfg.ulm_max_evals,
-        )
-    if method == "ulm-tensor":
-        return estimate_ulm(
-            centered, family=family, composition="tensor",
-            bounds=bounds, max_evals=cfg.ulm_max_evals,
-        )
-    raise ValueError(f"unknown method {method!r}")
+    return estimate_ulm(  # "ulm-additive" or "ulm-tensor"
+        centered, family=family, composition=method.removeprefix("ulm-"),
+        bounds=bounds, max_evals=cfg.ulm_max_evals,
+    )
 
 
 def run_gfunction_benchmark(config: GFunctionBenchConfig = GFunctionBenchConfig()) -> BenchmarkReport:
@@ -357,7 +368,8 @@ def run_paths_benchmark(config: PathsBenchConfig = PathsBenchConfig()) -> Benchm
     """ULM-vs-RLM study on simulated additive-GP paths across dimensions."""
     report = BenchmarkReport(meta={"experiment": "paths", "config": config.__dict__ | {"dims": list(config.dims)}})
     for d in config.dims:
-        truth = _truth_kernel(config, d)
+        truth = make_kernel(config.family, np.full(d, config.true_variance),
+                            np.full(d, config.true_lengthscale))
         n = config.points_per_dim * d
         X = lhs_maximin(n, d, seed=config.master_seed + d, n_improvement_steps=config.lhs_steps)
         for path in range(config.n_paths):
@@ -382,13 +394,3 @@ def run_paths_benchmark(config: PathsBenchConfig = PathsBenchConfig()) -> Benchm
                 )
                 report.traces[run_id] = result.trace
     return report
-
-
-def _truth_kernel(config: PathsBenchConfig, d: int) -> AdditiveKernel:
-    from .kernels import make_kernel
-
-    return make_kernel(
-        config.family,
-        np.full(d, config.true_variance),
-        np.full(d, config.true_lengthscale),
-    )

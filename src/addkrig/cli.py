@@ -206,10 +206,13 @@ def cmd_bench(args) -> int:
         cfg["seed"] = cfg["master_seed"]
     cfg.pop("master_seed", None)
     seed = _int(cfg, "seed")
-    opts = _study_options(config_cls, cfg)
+    try:
+        config = config_cls(**_study_options(config_cls, cfg), master_seed=seed)
+    except ValueError as exc:  # a study field of the right type but out of range
+        raise InputError(str(exc)) from None
     out = _out_dir(cfg)
     _echo_config(out, cfg)
-    report = run(config_cls(**opts, master_seed=seed))
+    report = run(config)
     report.to_csv(out / "report.csv")
     report.save_summary(out / "summary.json")
     write_traces(out / "traces.csv", report.traces)

@@ -41,7 +41,7 @@ from .kernels import AdditiveKernel, _check_params, _corr, make_kernel
 
 __all__ = [
     "HyperParams",
-    "Bounds",
+    "HyperBounds",
     "EstimationTrace",
     "EstimationResult",
     "neg_log_likelihood",
@@ -85,6 +85,17 @@ class HyperParams:
     def to_kernel(self) -> AdditiveKernel:
         return make_kernel(self.family, self.variances, self.lengthscales, self.composition)
 
+    @classmethod
+    def from_vector(cls, x, d: int, family: str = "gaussian", composition: str = "additive") -> HyperParams:
+        """Parameters from an optimization vector laid out as :meth:`HyperBounds.box`; the
+        tensor composition's one variance is direction 0's, the others are 1."""
+        x = np.asarray(x, dtype=float)
+        n_var = d if composition == "additive" else 1
+        if x.shape != (n_var + d + 1,):
+            raise ValueError(f"expected a vector of {n_var + d + 1} entries, got shape {x.shape}")
+        variances = x[:d] if composition == "additive" else np.concatenate([x[:1], np.ones(d - 1)])
+        return cls(variances, x[n_var:n_var + d], float(x[-1]), family, composition)
+
 
 def additivity_ratio(params: HyperParams) -> float:
     """Share of modeled variance attributed to the additive directions.
@@ -100,37 +111,22 @@ def additivity_ratio(params: HyperParams) -> float:
 
 
 @dataclass(frozen=True)
-class Bounds:
-    """Per-parameter [lower, upper] box for an optimization vector."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
-        if lo.shape != hi.shape or np.any(lo > hi):
-            raise ValueError("invalid bounds")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-
-    def clip(self, x) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
-
-    def midpoint(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
-
-    def pairs(self):
-        return list(zip(self.lower, self.upper))
-
-
-@dataclass
 class HyperBounds:
-    """Boxes for the model parameters: sigma_i^2, theta_i and tau^2."""
+    """Boxes (lower, upper) for the model parameters: sigma_i^2, theta_i and tau^2."""
 
     variance: tuple[float, float]
     lengthscale: tuple[float, float]
     noise: tuple[float, float]
+
+    def __post_init__(self):
+        if any(not lo <= hi for lo, hi in (self.variance, self.lengthscale, self.noise)):
+            raise ValueError(f"every box needs lower <= upper, got {self}")
+
+    def box(self, d: int, composition: str = "additive") -> list[tuple[float, float]]:
+        """(lower, upper) per entry of the optimization vector that :meth:`HyperParams.from_vector`
+        reads: the d variances (one for tensor), the d lengthscales, then tau^2."""
+        n_var = d if composition == "additive" else 1
+        return [self.variance] * n_var + [self.lengthscale] * d + [self.noise]
 
 
 def default_bounds(dataset: Dataset) -> HyperBounds:
@@ -209,18 +205,15 @@ class _Likelihood:
         return value_and_grad
 
 
-def nll_value_and_grad(params: HyperParams, dataset: Dataset, ids=None) -> tuple[float, np.ndarray]:
+def nll_value_and_grad(params: HyperParams, dataset: Dataset) -> tuple[float, np.ndarray]:
     """Objective value and analytic gradient from one Cholesky factorization.
 
-    The gradient is over the parameter ids ``ids`` (default: the full vector
-    {sigma_i^2, theta_i, tau^2}), from d l = tr(K^-1 dK) - alpha^T dK alpha with
+    The gradient is over the optimization vector of :meth:`HyperBounds.box`
+    {sigma_i^2, theta_i, tau^2}, from d l = tr(K^-1 dK) - alpha^T dK alpha with
     alpha = K^-1 Y.  For the tensor composition the variance block collapses to
-    the single overall variance (direction 0), matching the optimization vector.
+    the single overall variance (direction 0).
     """
-    value, grad = _Likelihood(dataset)(params)
-    n_var = params.d if params.composition == "additive" else 1
-    names = [f"variance_{i}" for i in range(n_var)] + [f"lengthscale_{i}" for i in range(params.d)]
-    return value, grad if ids is None else grad[[(names + ["noise"]).index(pid) for pid in ids]]
+    return _Likelihood(dataset)(params)
 
 
 def neg_log_likelihood(params: HyperParams, dataset: Dataset) -> float:
@@ -248,19 +241,21 @@ class OptResult:
 
 def optimize_local(
     value_and_grad,
-    bounds: Bounds,
+    bounds: list[tuple[float, float]],
     start,
     max_evals: int = 1000,
 ) -> OptResult:
     """Box-constrained quasi-Newton descent (L-BFGS-B) with call counting.
 
+    ``bounds`` is one (lower, upper) pair per entry of ``x``, as scipy's L-BFGS-B takes.
     ``value_and_grad(x) -> (f, g)`` may raise ``np.linalg.LinAlgError`` to
     signal an infeasible point; a large finite sentinel with a retreating
     gradient is fed to the optimizer instead.  Every call is counted,
     including line-search probes, and the best evaluated point is returned
     (never worse than the start).
     """
-    start = bounds.clip(start)
+    lower, upper = np.array(bounds, dtype=float).T
+    start = np.clip(np.asarray(start, dtype=float), lower, upper)
     n_calls = 0
     best = {"x": None, "f": np.inf}
 
@@ -284,13 +279,13 @@ def optimize_local(
         start,
         jac=True,
         method="L-BFGS-B",
-        bounds=bounds.pairs(),
+        bounds=bounds,
         options={"maxfun": max_evals},
     )
     if best["x"] is None:
         raise np.linalg.LinAlgError("objective never evaluated successfully")
     exhausted = n_calls >= max_evals and not res.success
-    return OptResult(bounds.clip(best["x"]), best["f"], n_calls, not exhausted)
+    return OptResult(np.clip(best["x"], lower, upper), best["f"], n_calls, not exhausted)
 
 
 # ---------------------------------------------------------------------------
@@ -360,33 +355,6 @@ class EstimationResult:
 # ---------------------------------------------------------------------------
 
 
-def _make_objective(dataset, family, composition, d):
-    """Objective over the full optimization vector for the given composition."""
-
-    lik = _Likelihood(dataset)
-
-    def unpack(x) -> HyperParams:
-        if composition == "additive":
-            variances = x[:d]
-            rest = x[d:]
-        else:
-            variances = np.concatenate([[x[0]], np.ones(d - 1)])
-            rest = x[1:]
-        return HyperParams(variances, rest[:d], float(rest[d]), family, composition)
-
-    def value_and_grad(x):
-        return lik(unpack(x))
-
-    return unpack, value_and_grad
-
-
-def _full_bounds(hb: HyperBounds, d: int, composition: str) -> Bounds:
-    n_var = d if composition == "additive" else 1
-    lo = [hb.variance[0]] * n_var + [hb.lengthscale[0]] * d + [hb.noise[0]]
-    hi = [hb.variance[1]] * n_var + [hb.lengthscale[1]] * d + [hb.noise[1]]
-    return Bounds(np.array(lo), np.array(hi))
-
-
 def estimate_ulm(
     dataset: Dataset,
     family: str = "gaussian",
@@ -403,18 +371,19 @@ def estimate_ulm(
     """
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
-    hb = bounds or default_bounds(dataset)
-    box = _full_bounds(hb, dataset.d, composition)
-    unpack, vg = _make_objective(dataset, family, composition, dataset.d)
+    d = dataset.d
+    box = (bounds or default_bounds(dataset)).box(d, composition)
+    lik = _Likelihood(dataset)
     rng = np.random.default_rng(seed)
 
     trace = EstimationTrace()
     best: OptResult | None = None
     any_converged = False
     for r in range(n_restarts):
-        start = box.midpoint() if r == 0 else rng.uniform(box.lower, box.upper)
+        start = np.mean(box, axis=1) if r == 0 else rng.uniform(*np.transpose(box))
         try:
-            res = optimize_local(vg, box, start, max_evals=max_evals)
+            res = optimize_local(lambda x: lik(HyperParams.from_vector(x, d, family, composition)),
+                                 box, start, max_evals=max_evals)
         except np.linalg.LinAlgError:
             continue
         trace.add(r + 1, 0, res.n_calls, res.value, float(res.x[-1]))
@@ -423,7 +392,8 @@ def estimate_ulm(
             best = res
     if best is None:
         raise np.linalg.LinAlgError("all ULM restarts failed to evaluate the likelihood")
-    return EstimationResult(unpack(best.x), trace, best.value, any_converged)
+    return EstimationResult(HyperParams.from_vector(best.x, d, family, composition), trace,
+                            best.value, any_converged)
 
 
 def estimate_rlm(
@@ -432,7 +402,6 @@ def estimate_rlm(
     bounds: HyperBounds | None = None,
     n_iterations: int = 5,
     max_evals_inner: int = 200,
-    rel_tol: float = 1e-6,
 ) -> EstimationResult:
     """Cyclic relaxed likelihood maximization with a floating noise variance.
 
@@ -440,7 +409,7 @@ def estimate_rlm(
     noise until proven additive).  Cycle k visits each direction l in turn and
     re-optimizes (sigma_l^2, theta_l, tau^2) jointly, warm-started at the
     incumbent, for ``n_iterations`` cycles.  Stops early once a full cycle
-    improves the objective by less than ``rel_tol`` in relative terms.
+    improves the objective by less than 1e-6 in relative terms.
     """
     if n_iterations < 1:
         raise ValueError("n_iterations must be >= 1")
@@ -459,7 +428,7 @@ def estimate_rlm(
     sigma_kick = 0.05 * hb.variance[1] / 10.0 if hb.variance[1] > 0 else 0.0
 
     # Each inner problem is a one-direction additive model: (sigma_l^2, theta_l, tau^2).
-    inner_box = _full_bounds(hb, 1, "additive")
+    inner_box = hb.box(1)
 
     trace = EstimationTrace()
     current = np.inf
@@ -482,7 +451,7 @@ def estimate_rlm(
             converged = converged and res.converged
             trace.add(k, l + 1, res.n_calls, current, noise)
         if k >= 2 and np.isfinite(cycle_start):
-            if (cycle_start - current) < rel_tol * max(1.0, abs(cycle_start)):
+            if (cycle_start - current) < 1e-6 * max(1.0, abs(cycle_start)):
                 break
 
     params = HyperParams(variances.copy(), lengthscales.copy(), noise, family, "additive")

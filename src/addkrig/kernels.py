@@ -29,7 +29,6 @@ from scipy.special import erf
 __all__ = [
     "UnivariateKernel",
     "AdditiveKernel",
-    "eval_univariate",
     "eval_kernel",
     "cov_matrix",
     "cross_cov",
@@ -91,13 +90,6 @@ class UnivariateKernel:
 
     def __call__(self, x, y):
         return self.variance * self.corr(x, y)
-
-
-def eval_univariate(spec: UnivariateKernel, x: float, y: float) -> float:
-    """Evaluate one univariate kernel at a pair of scalars."""
-    if not (np.isfinite(x) and np.isfinite(y)):
-        raise ValueError("kernel inputs must be finite")
-    return float(spec(x, y))
 
 
 @dataclass(frozen=True)

@@ -295,6 +295,16 @@ MALFORMED_INPUTS = {
     "null-dims": lambda t, d: ["effects", "--model", _model_file(t, _kernel_edit(dims=None))],
     "text-n-paths": lambda t, d: ["bench", "paths", "--config", _write(t / "c.json", '{"n_paths": "abc"}')],
     "text-dims": lambda t, d: ["bench", "paths", "--config", _write(t / "c.json", '{"dims": "ab"}')],
+    "unknown-family": lambda t, d: ["bench", "paths", "--config", _write(t / "c.json", '{"family": "foo"}')],
+    "unknown-method": lambda t, d: ["bench", "gfunction", "--config", _write(t / "c.json", '{"methods": ["foo"]}')],
+    "negative-a": lambda t, d: ["bench", "gfunction", "--config", _write(t / "c.json", '{"a": [-1.0]}')],
+    "zero-dim": lambda t, d: ["bench", "paths", "--config", _write(t / "c.json", '{"dims": [0]}')],
+    "one-point-design": lambda t, d: ["bench", "gfunction", "--config", _write(t / "c.json", '{"design_size": 1}')],
+    "zero-points-per-dim": lambda t, d: [
+        "bench", "paths", "--config", _write(t / "c.json", '{"points_per_dim": 0}')],
+    "zero-rlm-iterations": lambda t, d: [
+        "bench", "paths", "--config", _write(t / "c.json", '{"rlm_iterations": 0}')],
+    "negative-bench-seed": lambda t, d: ["bench", "paths", "--seed", "-50"],
 }
 
 

@@ -5,8 +5,8 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from addkrig import (
-    Bounds,
     Dataset,
+    HyperBounds,
     HyperParams,
     additivity_ratio,
     default_bounds,
@@ -19,7 +19,7 @@ from addkrig import (
 )
 from addkrig import estimate, kernels
 from addkrig.bench import lhs_maximin, sample_gp_path
-from addkrig.estimate import HyperBounds, _Likelihood, _full_bounds, _make_objective, nll_value_and_grad
+from addkrig.estimate import _Likelihood, nll_value_and_grad
 from addkrig.gp import fit_gp
 from addkrig.kernels import cov_matrix, grad_cov_matrix
 
@@ -96,7 +96,10 @@ class TestGradient:
     @pytest.mark.parametrize("comp", ["additive", "tensor"])
     def test_finite_difference(self, fam, comp):
         ds = random_dataset(8, 2, 5)
-        _, vg = _make_objective(ds, fam, comp, 2)
+
+        def vg(x):
+            return nll_value_and_grad(HyperParams.from_vector(x, 2, fam, comp), ds)
+
         x0 = np.array([1.2, 0.6, 0.35, 0.55, 0.2][: 5 if comp == "additive" else 4])
         f0, g = vg(x0)
         h = 1e-6
@@ -129,18 +132,6 @@ class TestValueAndGrad:
             value, g = nll_value_and_grad(p, ds)
             assert value == neg_log_likelihood(p, ds)
             np.testing.assert_array_equal(g, nll_gradient(p, ds))
-
-    @pytest.mark.parametrize("fam", ["gaussian", "matern32"])
-    def test_rlm_ids_select_full_gradient_entries(self, fam):
-        d = 4
-        ds = random_dataset(12, d, 22)
-        rng = np.random.default_rng(23)
-        p = HyperParams(rng.uniform(0.0, 2.0, d), rng.uniform(0.1, 1.0, d), 0.05, fam)
-        full = nll_gradient(p, ds)
-        for l in range(d):
-            value, g = nll_value_and_grad(p, ds, [f"variance_{l}", f"lengthscale_{l}", "noise"])
-            assert value == neg_log_likelihood(p, ds)
-            np.testing.assert_array_equal(g, full[[l, d + l, 2 * d]])
 
     @pytest.mark.parametrize("run", [
         lambda ds: estimate_rlm(ds, family="matern32", n_iterations=2),
@@ -214,9 +205,9 @@ class TestLikelihoodEngine:
                 evaluated.clear()
                 value, g = vg(np.array([v[l], t[l], noise]))
                 assert len(evaluated) == 1  # direction l's correlation alone
-                want_value, want_g = nll_value_and_grad(p, ds, [f"variance_{l}", f"lengthscale_{l}", "noise"])
+                want_value, want_g = nll_value_and_grad(p, ds)
                 assert value == pytest.approx(want_value, rel=1e-12)
-                np.testing.assert_allclose(g, want_g, rtol=1e-9)
+                np.testing.assert_allclose(g, want_g[[l, d + l, 2 * d]], rtol=1e-9)
 
     @pytest.mark.parametrize("fam", ["gaussian", "matern32"])
     @pytest.mark.parametrize("comp", ["additive", "tensor"])
@@ -247,7 +238,7 @@ class TestOptimizeLocal:
         return vg
 
     def test_interior_minimum(self):
-        box = Bounds([-1.0, -1.0], [2.0, 2.0])
+        box = [(-1.0, 2.0), (-1.0, 2.0)]
         res = optimize_local(self.quadratic([0.5, -0.25]), box, [1.5, 1.5])
         np.testing.assert_allclose(res.x, [0.5, -0.25], atol=1e-4)
         assert res.value <= 1e-7
@@ -256,12 +247,12 @@ class TestOptimizeLocal:
     def test_projection_onto_bounds(self):
         # Unconstrained minimum outside the box: the solution sits on the face
         # and satisfies the first-order conditions there.
-        box = Bounds([0.0, 0.0], [1.0, 1.0])
+        box = [(0.0, 1.0), (0.0, 1.0)]
         res = optimize_local(self.quadratic([2.0, 0.3]), box, [0.5, 0.5])
         np.testing.assert_allclose(res.x, [1.0, 0.3], atol=1e-4)
 
     def test_collapsed_bounds(self):
-        box = Bounds([0.7, 0.7], [0.7, 0.7])
+        box = [(0.7, 0.7), (0.7, 0.7)]
         res = optimize_local(self.quadratic([0.0, 0.0]), box, [0.7, 0.7])
         np.testing.assert_allclose(res.x, [0.7, 0.7])
 
@@ -272,7 +263,7 @@ class TestOptimizeLocal:
             calls.append(1)
             return float(np.sum(x**2)), 2.0 * x
 
-        box = Bounds([-2.0], [2.0])
+        box = [(-2.0, 2.0)]
         res = optimize_local(vg, box, [1.0])
         assert res.n_calls == len(calls)
         assert res.value <= 1.0
@@ -285,7 +276,7 @@ class TestOptimizeLocal:
                 raise np.linalg.LinAlgError("bad point")
             return float((x[0] - 0.6) ** 2), np.array([2.0 * (x[0] - 0.6)])
 
-        box = Bounds([0.0], [1.0])
+        box = [(0.0, 1.0)]
         res = optimize_local(vg, box, [0.9])
         assert abs(res.x[0] - 0.6) < 1e-3
 
@@ -293,7 +284,7 @@ class TestOptimizeLocal:
         def vg(x):
             return float(np.sum((x - 0.3) ** 4)), 4.0 * (x - 0.3) ** 3
 
-        box = Bounds([-5.0] * 4, [5.0] * 4)
+        box = [(-5.0, 5.0)] * 4
         res = optimize_local(vg, box, [4.0] * 4, max_evals=3)
         assert res.n_calls >= 3
         assert not res.converged
@@ -387,10 +378,7 @@ class TestRLM:
             g = nll_gradient(p, centered)
             return neg_log_likelihood(p, centered), g
 
-        box = Bounds(
-            [hb.variance[0], hb.lengthscale[0], hb.noise[0]],
-            [hb.variance[1], hb.lengthscale[1], hb.noise[1]],
-        )
+        box = [hb.variance, hb.lengthscale, hb.noise]
         replay = optimize_local(vg, box, [kick, theta0, hb.noise[1]], max_evals=200)
         assert res.trace.records[0].best_value == pytest.approx(replay.value, rel=1e-12)
         assert res.trace.records[0].n_calls == replay.n_calls
@@ -433,16 +421,32 @@ class TestHelpers:
         with pytest.raises(ValueError):
             default_bounds(Dataset([[0.1], [0.9]], [1.0, 1.0]))
 
-    def test_full_bounds_layout(self):
+    def test_optimization_layout(self):
+        # HyperBounds.box, HyperParams.from_vector and the gradient share one layout:
+        # the variances (one for tensor), the lengthscales, then tau^2.
         hb = HyperBounds((0.0, 2.0), (0.1, 3.0), (1e-6, 1.0))
-        add = _full_bounds(hb, 3, "additive")
-        assert add.lower.shape == (7,)
-        ten = _full_bounds(hb, 3, "tensor")
-        assert ten.lower.shape == (5,)
+        for d in (1, 3):
+            ds = random_dataset(8, d, 40)
+            for comp in ("additive", "tensor"):
+                box = hb.box(d, comp)
+                n_var = d if comp == "additive" else 1
+                assert box == [hb.variance] * n_var + [hb.lengthscale] * d + [hb.noise]
+                v, t = np.linspace(0.5, 1.5, n_var), np.linspace(0.2, 0.8, d)
+                p = HyperParams.from_vector(np.concatenate([v, t, [0.05]]), d, "matern32", comp)
+                assert len(nll_value_and_grad(p, ds)[1]) == len(box)
+                want_v = v if comp == "additive" else np.concatenate([v, np.ones(d - 1)])
+                np.testing.assert_array_equal(p.variances, want_v)
+                np.testing.assert_array_equal(p.lengthscales, t)
+                assert (p.noise, p.family, p.composition) == (0.05, "matern32", comp)
+            with pytest.raises(ValueError):
+                HyperParams.from_vector(np.ones(2 * d), d)
 
     def test_bounds_validation(self):
-        with pytest.raises(ValueError):
-            Bounds([1.0], [0.0])
+        HyperBounds((0.7, 0.7), (0.1, 0.1), (0.0, 0.0))  # collapsed boxes are valid
+        for lo_hi in [((1.0, 0.0), (0.1, 3.0), (1e-6, 1.0)), ((0.0, 1.0), (3.0, 0.1), (1e-6, 1.0)),
+                      ((0.0, 1.0), (0.1, 3.0), (1.0, 1e-6))]:
+            with pytest.raises(ValueError):
+                HyperBounds(*lo_hi)
 
     def test_trace_csv(self):
         ds = random_dataset(8, 1, 19)

