@@ -22,13 +22,16 @@ import numpy as np
 from . import bench as bench_mod
 from .bench import GFunctionBenchConfig, PathsBenchConfig
 from .estimate import additivity_ratio, default_bounds, estimate_rlm, estimate_ulm, write_traces
-from .gp import (CholeskyFailure, Dataset, FittedGP, centered_effect, fit_gp, predict_mean,
-                 predict_var, sub_model)
+from .gp import CholeskyFailure, Dataset, FittedGP, _direction_pass, _predict, fit_gp
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_PARTIAL = 4
+
+# Allowed values of the fit settings that are names, for flags and config files alike.
+_FIT_CHOICES = {"kernel": ("gaussian", "matern32"), "composition": ("additive", "tensor"),
+               "method": ("rlm", "ulm")}
 
 
 class InputError(Exception):
@@ -85,6 +88,11 @@ def cmd_fit(args) -> int:
     if cfg["data"] is None:
         raise InputError("fit requires --data")
     iterations, seed = _int(cfg, "iterations"), _int(cfg, "seed")
+    for key, allowed in _FIT_CHOICES.items():
+        if cfg[key] not in allowed:
+            raise InputError(f"{key} must be one of {', '.join(allowed)}, got {cfg[key]!r}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     if cfg["method"] == "rlm" and iterations < 1:
         raise InputError("rlm needs at least one iteration")
     if cfg["method"] == "rlm" and cfg["composition"] != "additive":
@@ -129,8 +137,7 @@ def cmd_predict(args) -> int:
     pts = _load_points(cfg["points"], model.dataset.d)
     out = _out_dir(cfg)
     _echo_config(out, cfg)
-    means = predict_mean(model, pts)
-    variances = predict_var(model, pts)
+    means, variances = _predict(model, pts, with_var=True)
     with open(out / "predictions.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["mean", "variance"])
@@ -185,8 +192,7 @@ def cmd_effects(args) -> int:
     out = _out_dir(cfg)
     _echo_config(out, cfg)
     grid = np.linspace(0.0, 1.0, grid_size)
-    m, v = sub_model(model, direction, grid)
-    m_star, v_star = centered_effect(model, direction, grid)
+    m, v, m_star, v_star = _direction_pass(model, direction, grid, centered=True)
     with open(out / "effects.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x", "m", "v", "m_star", "v_star"])
@@ -243,9 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="estimate hyperparameters and persist a model")
     fit.add_argument("--data", help="CSV with header x1,...,xd,y")
-    fit.add_argument("--kernel", choices=["gaussian", "matern32"])
-    fit.add_argument("--composition", choices=["additive", "tensor"])
-    fit.add_argument("--method", choices=["rlm", "ulm"])
+    for key, allowed in _FIT_CHOICES.items():
+        fit.add_argument(f"--{key}", choices=allowed)
     fit.add_argument("--iterations", type=int)
     fit.add_argument("--seed", type=int)
     fit.add_argument("--out")

@@ -119,8 +119,14 @@ class HyperBounds:
     noise: tuple[float, float]
 
     def __post_init__(self):
-        if any(not lo <= hi for lo, hi in (self.variance, self.lengthscale, self.noise)):
+        boxes = (self.variance, self.lengthscale, self.noise)
+        if not all(math.isfinite(b) for box in boxes for b in box):
+            raise ValueError(f"every bound must be finite, got {self}")
+        if any(not lo <= hi for lo, hi in boxes):
             raise ValueError(f"every box needs lower <= upper, got {self}")
+        # The objective is defined for theta > 0 and sigma^2, tau^2 >= 0 only.
+        if self.lengthscale[0] <= 0 or self.variance[0] < 0 or self.noise[0] < 0:
+            raise ValueError(f"boxes need lengthscale > 0 and variance, noise >= 0, got {self}")
 
     def box(self, d: int, composition: str = "additive") -> list[tuple[float, float]]:
         """(lower, upper) per entry of the optimization vector that :meth:`HyperParams.from_vector`

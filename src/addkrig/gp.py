@@ -274,32 +274,61 @@ def _check_pivots(L: np.ndarray, K: np.ndarray) -> None:
         raise np.linalg.LinAlgError("covariance matrix is numerically singular")
 
 
-def _query_points(x) -> tuple[bool, np.ndarray]:
-    """(whether x is one point, m x d batch); rejects non-finite coordinates."""
+def _query_points(x, d: int) -> tuple[bool, np.ndarray]:
+    """(whether x is one point, m x d batch); rejects non-finite or d-mismatched points."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("query points must be finite")
-    return x.ndim == 1, np.atleast_2d(x)
+    pts = np.atleast_2d(x)
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise ValueError(f"query points have shape {x.shape}, model expects dimension {d}")
+    return x.ndim == 1, pts
+
+
+# Query rows per cross-covariance block: prediction and effects hold O(_BLOCK * n)
+# floats at a time whatever the number of query points.
+_BLOCK = 500
+
+
+def _blocks(m: int):
+    """Slices of _BLOCK rows covering range(m); a lone last row joins the block before it,
+    because BLAS takes another path for one row, which rounds differently."""
+    starts = list(range(0, m, _BLOCK))
+    if m > 1 and m % _BLOCK == 1:
+        starts.pop()
+    return (slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [m]))
+
+
+def _predict(gp: FittedGP, x, with_var: bool):
+    """(mean, variance or None) at one point or a batch, one cross_cov per block of
+    query rows; the triangular solve runs only when the variance is wanted."""
+    single, pts = _query_points(x, gp.kernel.dims)
+    mean = np.empty(len(pts))
+    var = np.empty(len(pts)) if with_var else None
+    # Stationary kernels: the prior variance k(x, x) is the same at every point.
+    variances = [c.variance for c in gp.kernel.components]
+    prior = sum(variances) if gp.kernel.is_additive else math.prod(variances)
+    for blk in _blocks(len(pts)):
+        k = cross_cov(gp.kernel, pts[blk], gp.dataset.X)
+        mean[blk] = gp.y_mean + k @ gp.weights
+        if with_var:
+            v = solve_triangular(gp.factor, k.T, lower=True)
+            var[blk] = prior - np.sum(v * v, axis=0)
+    if with_var:
+        var = _clamp_var(var)
+    if single:
+        return float(mean[0]), None if var is None else float(var[0])
+    return mean, var
 
 
 def predict_mean(gp: FittedGP, x) -> float | np.ndarray:
     """Kriging mean at one point (d-vector) or a batch of points (m x d)."""
-    single, pts = _query_points(x)
-    k = cross_cov(gp.kernel, pts, gp.dataset.X)
-    out = gp.y_mean + k @ gp.weights
-    return float(out[0]) if single else out
+    return _predict(gp, x, with_var=False)[0]
 
 
 def predict_var(gp: FittedGP, x) -> float | np.ndarray:
     """Kriging variance at one point or a batch; clamped at zero for round-off."""
-    single, pts = _query_points(x)
-    k = cross_cov(gp.kernel, pts, gp.dataset.X)
-    # Stationary kernels: the prior variance k(x, x) is the same at every point.
-    variances = [c.variance for c in gp.kernel.components]
-    prior = sum(variances) if gp.kernel.is_additive else math.prod(variances)
-    v = solve_triangular(gp.factor, k.T, lower=True)
-    out = prior - np.sum(v * v, axis=0)
-    return float(_clamp_var(out[0])) if single else _clamp_var(out)
+    return _predict(gp, x, with_var=True)[1]
 
 
 def _clamp_var(v):
@@ -316,14 +345,37 @@ def _require_additive(gp: FittedGP) -> None:
         raise ValueError("sub-models are only defined for additive composition")
 
 
-def _direction_solve(gp: FittedGP, direction: int, xi: np.ndarray):
-    """(spec, k_i, v_i): direction's kernel, its cross-covariance with the design
-    at the points xi (a 1-d array) and the sub-model variance there."""
+def _direction_pass(gp: FittedGP, direction: int, x_i, centered: bool):
+    """Sub-model (m_i, v_i) of one direction at the points x_i (scalar or 1-d array) and,
+    with ``centered``, the centered effect (m_i*, v_i*) too: one cross-covariance with the
+    design and one triangular solve per block of points.  Returns a tuple of 2 or 4 floats
+    (scalar x_i) or arrays."""
     _require_additive(gp)
+    x_i = np.asarray(x_i, dtype=float)
+    xi = np.atleast_1d(x_i)
     spec = gp.kernel.components[direction]
-    k_i = cross_cov(AdditiveKernel((spec,)), xi[:, None], gp.dataset.X[:, [direction]])
-    v = solve_triangular(gp.factor, k_i.T, lower=True)
-    return spec, k_i, _clamp_var(spec.variance - np.sum(v * v, axis=0))
+    kernel, Xd = AdditiveKernel((spec,)), gp.dataset.X[:, [direction]]
+    out = np.empty((4 if centered else 2, len(xi)))
+    if centered:
+        I_i = np.asarray(integral_univariate(spec, Xd[:, 0]))  # int K_i(x_j, s) ds
+        Kinv_I = cho_solve((gp.factor, True), I_i)
+        single_int = np.asarray(integral_univariate(spec, xi))
+        double_int = double_integral_univariate(spec)
+    for blk in _blocks(len(xi)):
+        k_i = cross_cov(kernel, xi[blk, None], Xd)
+        v = solve_triangular(gp.factor, k_i.T, lower=True)
+        out[0, blk] = gp.y_mean / gp.kernel.dims + k_i @ gp.weights
+        out[1, blk] = v_i = _clamp_var(spec.variance - np.sum(v * v, axis=0))
+        if centered:
+            out[2, blk] = (k_i - I_i) @ gp.weights
+            out[3, blk] = _clamp_var(
+                v_i
+                - 2.0 * single_int[blk]
+                + 2.0 * (k_i @ Kinv_I)
+                + double_int
+                - I_i @ Kinv_I
+            )
+    return tuple(float(row[0]) for row in out) if x_i.ndim == 0 else tuple(out)
 
 
 def sub_model(gp: FittedGP, direction: int, x_i):
@@ -332,12 +384,7 @@ def sub_model(gp: FittedGP, direction: int, x_i):
     The constant trend is split evenly across directions so that the
     sub-model means sum exactly to the full predictor mean.
     """
-    xi = np.asarray(x_i, dtype=float)
-    _, k_i, var = _direction_solve(gp, direction, np.atleast_1d(xi))
-    mean = gp.y_mean / gp.kernel.dims + k_i @ gp.weights
-    if xi.ndim == 0:
-        return float(mean[0]), float(var[0])
-    return mean, var
+    return _direction_pass(gp, direction, x_i, centered=False)
 
 
 def centered_effect(gp: FittedGP, direction: int, x_i):
@@ -347,22 +394,4 @@ def centered_effect(gp: FittedGP, direction: int, x_i):
     Z_i(x) - int Z_i given the observations, assembled from the closed-form
     kernel integrals.
     """
-    xi = np.asarray(x_i, dtype=float)
-    spec, k_i, v_i = _direction_solve(gp, direction, np.atleast_1d(xi))
-    I_i = np.asarray(integral_univariate(spec, gp.dataset.X[:, direction]))  # int K_i(x_j, s) ds
-
-    mean = (k_i - I_i) @ gp.weights
-
-    Kinv_I = cho_solve((gp.factor, True), I_i)
-    single_int = np.asarray(integral_univariate(spec, np.atleast_1d(xi)))
-    var = (
-        v_i
-        - 2.0 * single_int
-        + 2.0 * (k_i @ Kinv_I)
-        + double_integral_univariate(spec)
-        - I_i @ Kinv_I
-    )
-    var = _clamp_var(var)
-    if xi.ndim == 0:
-        return float(mean[0]), float(var[0])
-    return mean, var
+    return _direction_pass(gp, direction, x_i, centered=True)[2:]

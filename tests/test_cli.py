@@ -1,11 +1,15 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
-from addkrig import Dataset, FittedGP, make_kernel
+from addkrig import Dataset, FittedGP, centered_effect, make_kernel, sub_model
+from addkrig import gp as gp_mod
 from addkrig.cli import EXIT_INPUT, EXIT_OK, main
+from addkrig.gp import _BLOCK as BLOCK
+from addkrig.kernels import cross_cov
 
 
 @pytest.fixture()
@@ -163,6 +167,20 @@ class TestPredict:
                      "--out", str(tmp_path / "o")]) == EXIT_INPUT
         assert main(["effects", "--model", str(path), "--out", str(tmp_path / "o")]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("m", [5, 2 * BLOCK + 3])
+    def test_one_kernel_evaluation_per_block(self, tmp_path, model_path, monkeypatch, m):
+        # Mean and variance come from one pass: ceil(m / B) cross-covariance blocks, not twice that.
+        path, _ = model_path
+        pts = tmp_path / "points.csv"
+        rows = np.random.default_rng(5).uniform(size=(m, 2)).tolist()
+        pts.write_text("".join(f"{u!r},{w!r}\n" for u, w in rows))
+        calls = []
+        monkeypatch.setattr(gp_mod, "cross_cov", lambda *a: calls.append(len(a[1])) or cross_cov(*a))
+        assert main(["predict", "--model", str(path), "--points", str(pts),
+                     "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert len(calls) == math.ceil(m / BLOCK)
+        assert sum(calls) == m
+
     def test_missing_model(self, tmp_path):
         assert main(["predict", "--model", str(tmp_path / "none.json"),
                      "--points", str(tmp_path / "none.csv"),
@@ -193,6 +211,22 @@ class TestEffects:
         grid, m_star, v_star = data[:, 0], data[:, 3], data[:, 4]
         assert np.trapezoid(m_star, grid) == pytest.approx(0.0, abs=1e-4)
         assert np.all(v_star >= -1e-12)
+
+    def test_one_pass_matches_library(self, tmp_path, model_path, monkeypatch):
+        # m, v, m_star and v_star come from one blocked pass over the grid.
+        grid_size = 2 * BLOCK + 3
+        calls = []
+        monkeypatch.setattr(gp_mod, "cross_cov", lambda *a: calls.append(len(a[1])) or cross_cov(*a))
+        out = tmp_path / "eff"
+        assert main(["effects", "--model", str(model_path), "--direction", "1",
+                     "--grid-size", str(grid_size), "--out", str(out)]) == EXIT_OK
+        assert len(calls) == math.ceil(grid_size / BLOCK)
+        monkeypatch.undo()
+        with open(out / "effects.csv", newline="") as fh:
+            data = np.array([[float(v) for v in r] for r in list(csv.reader(fh))[1:]])
+        model, grid = FittedGP.load(model_path), np.linspace(0.0, 1.0, grid_size)
+        want = np.column_stack([grid, *sub_model(model, 0, grid), *centered_effect(model, 0, grid)])
+        np.testing.assert_array_equal(data, want)
 
     def test_direction_out_of_range(self, tmp_path, model_path):
         assert main(["effects", "--model", str(model_path), "--direction", "3",
@@ -305,6 +339,13 @@ MALFORMED_INPUTS = {
     "zero-rlm-iterations": lambda t, d: [
         "bench", "paths", "--config", _write(t / "c.json", '{"rlm_iterations": 0}')],
     "negative-bench-seed": lambda t, d: ["bench", "paths", "--seed", "-50"],
+    "fit-unknown-method": lambda t, d: [
+        "fit", "--data", str(d), "--config", _write(t / "c.json", '{"method": "foo"}')],
+    "fit-unknown-kernel": lambda t, d: [
+        "fit", "--data", str(d), "--config", _write(t / "c.json", '{"kernel": "foo"}')],
+    "fit-unknown-composition": lambda t, d: [
+        "fit", "--data", str(d), "--method", "ulm", "--config", _write(t / "c.json", '{"composition": "foo"}')],
+    "fit-negative-seed": lambda t, d: ["fit", "--data", str(d), "--seed", "-1", "--method", "ulm"],
 }
 
 

@@ -448,6 +448,24 @@ class TestHelpers:
             with pytest.raises(ValueError):
                 HyperBounds(*lo_hi)
 
+    @pytest.mark.parametrize("boxes", [
+        ((0, 5), (0.0, 3.0), (1e-8, 1)),  # lengthscale lower bound 0
+        ((0, 5), (-0.1, 3.0), (1e-8, 1)),
+        ((-1.0, 5), (1e-3, 3.0), (1e-8, 1)),  # negative variance
+        ((0, 5), (1e-3, 3.0), (-1e-8, 1)),  # negative noise
+        ((0, math.inf), (1e-3, 3.0), (1e-8, 1)),
+        ((0, 5), (1e-3, 3.0), (1e-8, math.nan)),
+        ((0, 5), (-math.inf, 3.0), (1e-8, 1)),
+    ])
+    def test_bounds_reject_boxes_the_objective_cannot_evaluate(self, boxes):
+        with pytest.raises(ValueError):
+            HyperBounds(*boxes)
+
+    def test_bounds_at_the_objective_domain_edge_are_valid(self):
+        # Zero variances and zero noise are evaluable; so are collapsed boxes there.
+        hb = HyperBounds((0.0, 0.0), (1e-3, 1e-3), (0.0, 0.0))
+        assert hb.box(2) == [(0.0, 0.0)] * 2 + [(1e-3, 1e-3)] * 2 + [(0.0, 0.0)]
+
     def test_trace_csv(self):
         ds = random_dataset(8, 1, 19)
         res = estimate_rlm(ds, n_iterations=1)

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from addkrig import (
     CholeskyFailure,
@@ -16,6 +18,8 @@ from addkrig import (
 )
 from addkrig.bench import lhs_maximin
 from addkrig.estimate import estimate_rlm
+from addkrig.gp import _BLOCK as BLOCK
+from addkrig.kernels import cross_cov, double_integral_univariate, integral_univariate
 
 RECT3 = np.array([[0.2, 0.3], [0.7, 0.3], [0.2, 0.8]])
 CORNER = np.array([0.7, 0.8])
@@ -303,6 +307,96 @@ class TestOneCovariancePath:
         monkeypatch.setattr(gp_mod, "solve_triangular", counted("solve_triangular", gp_mod.solve_triangular))
         centered_effect(model, 0, np.linspace(0.0, 1.0, 7))
         assert counts == {"corr": 1, "solve_triangular": 1}
+
+
+def unblocked_reference(model, pts):
+    """Mean and variance from one full cross_cov and one triangular solve."""
+    k = cross_cov(model.kernel, pts, model.dataset.X)
+    v = solve_triangular(model.factor, k.T, lower=True)
+    variances = [c.variance for c in model.kernel.components]
+    prior = sum(variances) if model.kernel.is_additive else np.prod(variances)
+    return model.y_mean + k @ model.weights, np.maximum(prior - np.sum(v * v, axis=0), 0.0)
+
+
+def unblocked_direction_reference(model, i, grid):
+    """(m_i, v_i, m_i*, v_i*) from one full univariate cross_cov and one solve."""
+    spec, Xi = model.kernel.components[i], model.dataset.X[:, i]
+    k = spec.variance * spec.corr(grid[:, None], Xi[None, :])
+    v = solve_triangular(model.factor, k.T, lower=True)
+    v_i = np.maximum(spec.variance - np.sum(v * v, axis=0), 0.0)
+    I_i = integral_univariate(spec, Xi)
+    Kinv_I = cho_solve((model.factor, True), I_i)
+    v_star = (v_i - 2.0 * integral_univariate(spec, grid) + 2.0 * (k @ Kinv_I)
+              + double_integral_univariate(spec) - I_i @ Kinv_I)
+    return (model.y_mean / model.kernel.dims + k @ model.weights, v_i,
+            (k - I_i) @ model.weights, np.maximum(v_star, 0.0))
+
+
+class TestBlockedPrediction:
+    def model(self, composition="additive", n=30):
+        rng = np.random.default_rng(21)
+        ds = Dataset(rng.uniform(size=(n, 2)), rng.standard_normal(n))
+        return fit_gp(make_kernel("matern32", [1.0, 0.6], [0.3, 0.5], composition), ds, 1e-3)
+
+    @pytest.mark.parametrize("composition", ["additive", "tensor"])
+    @pytest.mark.parametrize("m", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_matches_unblocked_reference(self, composition, m):
+        model = self.model(composition)
+        pts = np.random.default_rng(m).uniform(size=(m, 2))
+        mean, var = unblocked_reference(model, pts)
+        np.testing.assert_allclose(predict_mean(model, pts), mean, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(predict_var(model, pts), var, rtol=1e-12, atol=1e-12)
+        assert predict_mean(model, pts).shape == predict_var(model, pts).shape == (m,)
+
+    @pytest.mark.parametrize("composition", ["additive", "tensor"])
+    def test_single_point_is_a_float(self, composition):
+        model = self.model(composition)
+        x = np.array([0.25, 0.75])
+        mean, var = unblocked_reference(model, x[None, :])
+        for got, want in ((predict_mean(model, x), mean[0]), (predict_var(model, x), var[0])):
+            assert isinstance(got, float)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [BLOCK + 1, 2 * BLOCK + 3])
+    def test_effects_across_block_boundaries(self, m):
+        model = self.model()
+        grid = np.linspace(0.0, 1.0, m)
+        for i in range(2):
+            want = unblocked_direction_reference(model, i, grid)
+            got = sub_model(model, i, grid) + centered_effect(model, i, grid)
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+
+    def test_blocks_cover_the_rows_in_order(self):
+        from addkrig.gp import _blocks
+
+        for m in (0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 3 * BLOCK + 3):
+            blocks = list(_blocks(m))
+            assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(m))
+            assert all(b.stop - b.start <= BLOCK + 1 for b in blocks)
+            assert m < 2 or all(b.stop - b.start > 1 for b in blocks)  # no lone row in a batch
+
+    @pytest.mark.parametrize("f", [predict_mean, predict_var])
+    def test_empty_batch_still_checks_dimension(self, f):
+        model = self.model()
+        assert f(model, np.empty((0, 2))).shape == (0,)
+        for bad in (np.empty((0, 3)), np.empty((0, 1)), np.array([0.5, 0.5, 0.5])):
+            with pytest.raises(ValueError):
+                f(model, bad)
+
+    def test_predict_var_memory_is_bounded_by_one_block(self):
+        # Peak numpy allocations are a few blocks of B x n floats, whatever the
+        # number of query points; an unblocked m x n cross-covariance is 8 blocks.
+        model = self.model(n=200)
+        block_bytes = BLOCK * model.dataset.n * 8
+        pts = np.random.default_rng(3).uniform(size=(8 * BLOCK, 2))
+        tracemalloc.start()
+        try:
+            predict_var(model, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * block_bytes
 
 
 class TestScaleSweep:
