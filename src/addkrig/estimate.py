@@ -32,12 +32,14 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
-from scipy.linalg.lapack import dpotri as potri
+# One name for the factorization, bound rather than wrapped in a def, so that tests and the
+# benchmark's tracer can count the calls through it.
+from scipy.linalg.lapack import dpotrf as cholesky
+from scipy.linalg.lapack import dpotri, dpotrs
 from scipy.optimize import minimize
 
 from .gp import Dataset, _check_pivots
-from .kernels import AdditiveKernel, _check_params, _corr, make_kernel
+from .kernels import _FAMILIES, AdditiveKernel, _check_params, _corr, make_kernel
 
 __all__ = [
     "HyperParams",
@@ -75,8 +77,12 @@ class HyperParams:
         object.__setattr__(self, "lengthscales", np.asarray(self.lengthscales, dtype=float))
         if self.variances.shape != self.lengthscales.shape:
             raise ValueError("variances and lengthscales must have equal length")
-        if self.noise < 0:
-            raise ValueError("noise variance must be >= 0")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ValueError(f"noise variance must be finite and >= 0, got {self.noise}")
+        if self.family not in _FAMILIES:
+            raise ValueError(f"unknown kernel family {self.family!r}")
+        if self.composition not in ("additive", "tensor"):
+            raise ValueError(f"unknown composition {self.composition!r}")
 
     @property
     def d(self) -> int:
@@ -154,7 +160,7 @@ def default_bounds(dataset: Dataset) -> HyperBounds:
 
 
 class _Likelihood:
-    """The objective on one dataset, with its distance matrices |x_i - x_j| built once.
+    """The objective on one dataset, with its distances |x_i - x_j| built once as a d x n x n stack.
 
     One Cholesky factorization per call; gradient entries are <W, dK/dp> with W = K^-1 -
     alpha alpha^T (Rasmussen & Williams 2006, 5.4.1); dK/dtheta_i is the covariance term
@@ -162,51 +168,73 @@ class _Likelihood:
 
     def __init__(self, dataset: Dataset):
         self.Y = dataset.Y
-        self.dist = [np.abs(x[:, None] - x[None, :]) for x in dataset.X.T]
+        X = np.ascontiguousarray(dataset.X.T)  # C-ordered slices keep every summation order
+        self.dist = np.abs(X[:, :, None] - X[:, None, :])
 
     def _solve(self, K: np.ndarray, noise: float) -> tuple[float, np.ndarray]:
-        """(value, W) from one factorization of K + tau^2 I; K is overwritten."""
-        if not np.isfinite(noise) or noise < 0:
+        """(value, W) from one factorization of K + tau^2 I, calling LAPACK directly; K is
+        overwritten by L and then by W.  Value and W are bit for bit those of scipy's
+        cholesky/cho_solve route, which the tests keep as the reference."""
+        if not (math.isfinite(noise) and noise >= 0):
             raise ValueError(f"noise variance must be finite and >= 0, got {noise}")
-        K.flat[:: len(K) + 1] += noise
-        L = cholesky(K, lower=True, check_finite=False)  # raises LinAlgError when singular
-        _check_pivots(L, K)
-        alpha = cho_solve((L, True), self.Y, check_finite=False)
-        value = 2.0 * float(np.sum(np.log(np.diag(L)))) + float(self.Y @ alpha)
-        W = potri(L, lower=1)[0]  # lower triangle of K^-1; cannot fail, the pivots are > 0
-        W += np.tril(W, -1).T
-        return value, W - np.outer(alpha, alpha)
+        diag = np.einsum("ii->i", K)  # a writable view
+        diag += noise
+        trace = diag.sum()  # taken first: the factorization overwrites K
+        # K is exactly symmetric, so K.T is K in Fortran order and LAPACK works in place.
+        L, info = cholesky(K.T, lower=1, clean=1, overwrite_a=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"{info}-th leading minor of the covariance is not positive definite")
+        _check_pivots(L, trace)
+        alpha = dpotrs(L, self.Y, lower=1)[0]
+        value = 2.0 * float(np.log(L.diagonal()).sum()) + float(self.Y @ alpha)
+        # K^-1 in L's place (it cannot fail: the pivots are > 0); transposed, it is C-ordered
+        # with the upper triangle set and zeros below (clean=1), so mirroring it doubles only
+        # the diagonal, which is then put back.
+        W = dpotri(L, lower=1, overwrite_c=1)[0].T
+        diag = np.einsum("ii->i", W)
+        kept = diag.copy()
+        W += W.T
+        diag[:] = kept
+        W -= alpha[:, None] * alpha
+        return value, W
 
     def __call__(self, p: HyperParams) -> tuple[float, np.ndarray]:
         """(value, gradient over {sigma_i^2 (sigma_0^2 alone for tensor), theta_i, tau^2})."""
-        _check_params(p.family, p.variances, p.lengthscales)
-        terms = [_corr(p.family, r, t, dlog=True) for r, t in zip(self.dist, p.lengthscales)]
+        for v, t in zip(p.variances.tolist(), p.lengthscales.tolist()):
+            _check_params(p.family, v, t)
+        R, q = _corr(p.family, self.dist, p.lengthscales[:, None, None], dlog=True)
         if p.composition == "additive":
-            value, W = self._solve(sum(v * R for v, (R, _) in zip(p.variances, terms)), p.noise)
-            WR = [W * R for R, _ in terms]
-            grad = [x.sum() for x in WR]
-            grad += [v * np.vdot(x, q) for v, x, (_, q) in zip(p.variances, WR, terms)]
+            K = p.variances[0] * R[0]
+            for v, Ri in zip(p.variances[1:], R[1:]):
+                K += v * Ri
+            value, W = self._solve(K, p.noise)
+            WR = W * R
+            grad = list(WR.sum(axis=(1, 2)))  # one pairwise sum per C-ordered slice
+            grad += [v * np.vdot(x, qi) for v, x, qi in zip(p.variances, WR, q)]
         else:
-            P = math.prod(R for R, _ in terms)  # correlation product
+            P = math.prod(R)  # correlation product
             value, W = self._solve(np.prod(p.variances) * P, p.noise)
             WP = W * P
             grad = [np.prod(p.variances[1:]) * WP.sum()]
-            grad += [np.prod(p.variances) * np.vdot(WP, q) for _, q in terms]
-        return value, np.append(grad, np.trace(W))
+            grad += [np.prod(p.variances) * np.vdot(WP, qi) for qi in q]
+        return value, np.append(grad, W.trace())
 
     def direction(self, l: int, p: HyperParams):
         """Objective over (sigma_l^2, theta_l, tau^2) with the other directions of the additive
         ``p`` fixed in K_rest = sum_{j != l} sigma_j^2 r_j: a call evaluates one correlation."""
         K_rest = sum(v * _corr(p.family, r, t)
                      for j, (r, v, t) in enumerate(zip(self.dist, p.variances, p.lengthscales)) if j != l)
+        family, dist = p.family, self.dist[l]
 
         def value_and_grad(x):
-            v, t, noise = x
-            _check_params(p.family, v, t)
-            R, q = _corr(p.family, self.dist[l], t, dlog=True)
-            value, W = self._solve(K_rest + v * R, noise)
+            v, t, noise = x.tolist()
+            _check_params(family, v, t)
+            R, q = _corr(family, dist, t, dlog=True)
+            K = v * R
+            K += K_rest
+            value, W = self._solve(K, noise)
             WR = W * R
-            return value, np.array([WR.sum(), v * np.vdot(WR, q), np.trace(W)])
+            return value, np.array([WR.sum(), v * np.vdot(WR, q), W.trace()])
 
         return value_and_grad
 

@@ -258,7 +258,7 @@ def fit_gp(
     K = cov_matrix(kernel, dataset.X, noise)
     try:
         L = cholesky(K, lower=True)
-        _check_pivots(L, K)
+        _check_pivots(L, np.trace(K))
     except np.linalg.LinAlgError:
         raise CholeskyFailure(detect_degenerate_design(kernel, dataset.X)) from None
     y_mean = float(np.mean(dataset.Y)) if center else 0.0
@@ -266,11 +266,12 @@ def fit_gp(
     return FittedGP(kernel, float(noise), dataset, L, alpha, y_mean)
 
 
-def _check_pivots(L: np.ndarray, K: np.ndarray) -> None:
-    """The one singularity test of a factor L of K, shared by fit_gp and the likelihood."""
+def _check_pivots(L: np.ndarray, trace: float) -> None:
+    """The one singularity test of a Cholesky factor L of K, given tr(K), shared by fit_gp and
+    the likelihood (which factorizes K in place, so it passes the trace it took first)."""
     # An exactly singular K can factorize with a tiny positive pivot; the
     # threshold sits far below any admissible noise floor.
-    if np.min(np.diag(L)) ** 2 <= 1e-12 * np.trace(K) / K.shape[0]:
+    if L.diagonal().min() ** 2 <= 1e-12 * trace / len(L):
         raise np.linalg.LinAlgError("covariance matrix is numerically singular")
 
 

@@ -43,14 +43,13 @@ _FAMILIES = ("gaussian", "matern32")
 _SQRT3 = math.sqrt(3.0)
 
 
-def _check_params(family: str, variance, lengthscale) -> None:
-    """Reject parameters no kernel accepts; variance and lengthscale may be arrays."""
+def _check_params(family: str, variance: float, lengthscale: float) -> None:
+    """Reject parameters no kernel accepts: scalar tests, cheap enough for every likelihood call."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown kernel family {family!r}")
-    v, t = np.asarray(variance), np.asarray(lengthscale)
-    if not (np.isfinite(v) & (v >= 0)).all():
+    if not (math.isfinite(variance) and variance >= 0):
         raise ValueError(f"variance must be finite and >= 0, got {variance}")
-    if not (np.isfinite(t) & (t > 0)).all():
+    if not (math.isfinite(lengthscale) and lengthscale > 0):
         raise ValueError(f"lengthscale must be finite and > 0, got {lengthscale}")
 
 

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
+import scipy.optimize
+from scipy.linalg import cho_factor, cho_solve, cholesky
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from addkrig import (
     Dataset,
@@ -21,7 +23,7 @@ from addkrig import estimate, kernels
 from addkrig.bench import lhs_maximin, sample_gp_path
 from addkrig.estimate import _Likelihood, nll_value_and_grad
 from addkrig.gp import fit_gp
-from addkrig.kernels import cov_matrix, grad_cov_matrix
+from addkrig.kernels import _corr, cov_matrix, grad_cov_matrix
 
 
 def dense_nll(params, dataset):
@@ -225,6 +227,189 @@ class TestLikelihoodEngine:
             p = HyperParams(v, t, float(rng.uniform(0.05, 0.5)), fam, comp)
             want = oracle_gradient(p, ds)
             np.testing.assert_allclose(nll_gradient(p, ds), want, rtol=1e-9)
+
+
+def reference_solve(K, noise, Y):
+    """The scipy-wrapper route the engine's direct LAPACK calls replaced: cholesky, cho_solve,
+    dpotri and an np.tril fill, with the pivot test spelled out."""
+    K = K.copy()
+    K.flat[:: len(K) + 1] += noise
+    L = cholesky(K, lower=True, check_finite=False)
+    if np.min(np.diag(L)) ** 2 <= 1e-12 * np.trace(K) / K.shape[0]:
+        raise np.linalg.LinAlgError("numerically singular")
+    alpha = cho_solve((L, True), Y, check_finite=False)
+    value = 2.0 * float(np.sum(np.log(np.diag(L)))) + float(Y @ alpha)
+    W = dpotri(L, lower=1)[0]
+    W += np.tril(W, -1).T
+    return value, W - np.outer(alpha, alpha)
+
+
+def reference_value_and_grad(p, ds):
+    """(value, gradient) with one correlation call per direction and list-built products."""
+    terms = [_corr(p.family, np.abs(x[:, None] - x[None, :]), t, dlog=True)
+             for x, t in zip(ds.X.T, p.lengthscales)]
+    if p.composition == "additive":
+        value, W = reference_solve(sum(v * R for v, (R, _) in zip(p.variances, terms)), p.noise, ds.Y)
+        WR = [W * R for R, _ in terms]
+        grad = [x.sum() for x in WR] + [v * np.vdot(x, q) for v, x, (_, q) in zip(p.variances, WR, terms)]
+    else:
+        P = math.prod(R for R, _ in terms)
+        value, W = reference_solve(np.prod(p.variances) * P, p.noise, ds.Y)
+        WP = W * P
+        grad = [np.prod(p.variances[1:]) * WP.sum()]
+        grad += [np.prod(p.variances) * np.vdot(WP, q) for _, q in terms]
+    return value, np.append(grad, np.trace(W))
+
+
+def reference_direction(l, p, ds, x):
+    """RLM's (sigma_l^2, theta_l, tau^2) objective, by the same route as reference_value_and_grad."""
+    v, t, noise = x
+    dist = [np.abs(c[:, None] - c[None, :]) for c in ds.X.T]
+    K_rest = sum(vj * _corr(p.family, r, tj)
+                 for j, (r, vj, tj) in enumerate(zip(dist, p.variances, p.lengthscales)) if j != l)
+    R, q = _corr(p.family, dist[l], t, dlog=True)
+    value, W = reference_solve(K_rest + v * R, noise, ds.Y)
+    WR = W * R
+    return value, np.array([WR.sum(), v * np.vdot(WR, q), np.trace(W)])
+
+
+# An exactly singular design at tau^2 = 0: the four corners of a rectangle.
+RECTANGLE = np.array([[0.2, 0.3], [0.7, 0.3], [0.2, 0.8], [0.7, 0.8]])
+
+
+class TestLapackPath:
+    @pytest.mark.parametrize("fam", ["gaussian", "matern32"])
+    @pytest.mark.parametrize("n", [1, 2, 31, 60])
+    def test_bit_identical_to_the_scipy_wrapper_route(self, fam, n):
+        d = 3
+        ds = random_dataset(n, d, 50 + n)
+        rng = np.random.default_rng(51 + n)
+        lik = _Likelihood(ds)
+        for rep in range(3):
+            v, t = rng.uniform(0.0, 2.0, d), rng.uniform(0.02, 1.5, d)
+            v[rep] = 0.0  # a direction RLM has not turned on yet
+            noise = float(10.0 ** rng.uniform(-6, 0))
+            for comp in ("additive", "tensor"):
+                vt = v if comp == "additive" else np.concatenate([v[:1] + 0.5, np.ones(d - 1)])
+                p = HyperParams(vt, t, noise, fam, comp)
+                value, g = lik(p)
+                want_value, want_g = reference_value_and_grad(p, ds)
+                assert value == want_value
+                np.testing.assert_array_equal(g, want_g)
+            p = HyperParams(v, t, noise, fam)
+            for l in range(d):
+                x = np.array([0.7 * v[l] + 0.1, 1.3 * t[l], 2.0 * noise])
+                value, g = lik.direction(l, p)(x)
+                want_value, want_g = reference_direction(l, p, ds, x)
+                assert value == want_value
+                np.testing.assert_array_equal(g, want_g)
+
+    def test_indefinite_covariance_raises(self):
+        # LAPACK's own refusal (info > 0), before the pivot test is reached.
+        K = np.array([[1.0, 2.0], [2.0, 1.0]])
+        assert dpotrf(K.T.copy(), lower=1)[1] > 0
+        with pytest.raises(np.linalg.LinAlgError):
+            _Likelihood(random_dataset(2, 1, 52))._solve(K, 0.0)
+
+    def test_singular_rectangle_raises_through_the_pivot_test(self):
+        ds = Dataset(RECTANGLE, np.arange(4.0))
+        p = HyperParams([1.0, 1.0], [0.6, 0.6], 0.0)
+        K = cov_matrix(p.to_kernel(), RECTANGLE, 0.0)
+        assert dpotrf(K.T.copy(), lower=1)[1] == 0  # LAPACK accepts it: only the pivot test refuses
+        with pytest.raises(np.linalg.LinAlgError):
+            nll_value_and_grad(p, ds)
+        with pytest.raises(np.linalg.LinAlgError):
+            _Likelihood(ds).direction(0, p)(np.array([1.0, 0.6, 0.0]))
+
+    def test_optimize_local_turns_both_failures_into_the_sentinel(self, monkeypatch):
+        # Direction 0 of the rectangle with sigma_1^2 = 1 fixed: sigma_0^2 = 0 leaves K = r_1,
+        # which LAPACK refuses; sigma_0^2 = 1 gives K = r_0 + r_1, which the pivot test refuses.
+        vg = _Likelihood(Dataset(RECTANGLE, np.arange(4.0))).direction(0, HyperParams([0.0, 1.0], [0.6, 0.6], 0.0))
+        points = [np.array([0.0, 0.6, 0.0]), np.array([1.0, 0.6, 0.0])]
+        for x in points:
+            with pytest.raises(np.linalg.LinAlgError):
+                vg(x)
+        seen, real = [], estimate.minimize
+
+        def probing(fun, x0, **kwargs):
+            seen.extend(fun(x) for x in points)
+            return real(fun, x0, **kwargs)
+
+        monkeypatch.setattr(estimate, "minimize", probing)
+        res = optimize_local(vg, [(0.0, 2.0), (0.1, 1.0), (0.0, 1.0)], [1.0, 0.6, 0.5])
+        for x, (f, g) in zip(points, seen):
+            assert f == estimate._SENTINEL * (1.0 + x @ x)
+            np.testing.assert_array_equal(g, 2.0 * estimate._SENTINEL * x)
+        assert np.isfinite(res.value) and res.value < estimate._SENTINEL
+
+
+BAD_POINTS = [  # (variance, lengthscale, tau^2) outside the objective's domain
+    (1.0, math.nan, 0.1), (1.0, 0.0, 0.1), (1.0, -0.2, 0.1), (1.0, math.inf, 0.1),
+    (-1e-9, 0.5, 0.1), (math.nan, 0.5, 0.1), (math.inf, 0.5, 0.1),
+    (1.0, 0.5, math.nan), (1.0, 0.5, -1e-9), (1.0, 0.5, math.inf),
+]
+
+
+class TestPerCallValidation:
+    @pytest.mark.parametrize("v, t, noise", BAD_POINTS)
+    def test_direction_rejects(self, v, t, noise):
+        vg = _Likelihood(random_dataset(6, 2, 53)).direction(1, HyperParams([0.5, 0.0], [0.4, 0.5], 0.1))
+        with pytest.raises(ValueError):
+            vg(np.array([v, t, noise]))
+
+    @pytest.mark.parametrize("v, t, noise", BAD_POINTS)
+    @pytest.mark.parametrize("comp", ["additive", "tensor"])
+    def test_nll_value_and_grad_rejects(self, v, t, noise, comp):
+        ds = random_dataset(6, 2, 54)
+        with pytest.raises(ValueError):
+            nll_value_and_grad(HyperParams([v, 1.0], [0.4, t], noise, "matern32", comp), ds)
+
+    def test_domain_edge_is_accepted(self):
+        # Zero variances and zero noise are evaluable when K stays positive definite.
+        ds = random_dataset(6, 2, 55)
+        for p in (HyperParams([0.0, 0.0], [0.4, 0.5], 0.1), HyperParams([1.0, 0.0], [0.4, 0.5], 0.0)):
+            assert np.isfinite(nll_value_and_grad(p, ds)[0])
+        vg = _Likelihood(ds).direction(0, HyperParams([0.0, 0.5], [0.4, 0.5], 0.1))
+        for x in ([0.0, 0.4, 0.1], [1.0, 0.4, 0.0]):
+            assert np.isfinite(vg(np.array(x))[0])
+
+
+class TestHyperParamsValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"family": "foo"}, {"composition": "foo"}, {"noise": math.nan}, {"noise": math.inf},
+        {"noise": -0.1},
+    ])
+    def test_rejects(self, kwargs):
+        args = {"variances": [1.0, 1.0], "lengthscales": [0.3, 0.3], "noise": 0.1, **kwargs}
+        with pytest.raises(ValueError):
+            HyperParams(**args)
+
+    def test_unknown_composition_fails_before_any_objective_call(self, monkeypatch):
+        calls, real = [], estimate.cholesky
+        monkeypatch.setattr(estimate, "cholesky", lambda *a, **k: calls.append(1) or real(*a, **k))
+        with pytest.raises(ValueError, match="composition"):
+            estimate_ulm(random_dataset(8, 2, 56), composition="foo")
+        assert calls == []
+
+
+class TestTracerContract:
+    # The benchmark's tracer wraps these two names where estimate binds them.
+    def test_names_bound_at_module_level(self):
+        assert estimate.cholesky is dpotrf
+        assert estimate.minimize is scipy.optimize.minimize
+
+    def test_one_call_through_cholesky_per_objective_call(self, monkeypatch):
+        ds = random_dataset(9, 3, 57)
+        lik = _Likelihood(ds)
+        calls, real = [], estimate.cholesky
+        monkeypatch.setattr(estimate, "cholesky", lambda *a, **k: calls.append(1) or real(*a, **k))
+        for comp in ("additive", "tensor"):
+            calls.clear()
+            lik(HyperParams([1.0, 1.0, 1.0], [0.3, 0.4, 0.5], 0.1, "gaussian", comp))
+            assert len(calls) == 1
+        calls.clear()
+        lik.direction(2, HyperParams([1.0, 0.5, 0.0], [0.3, 0.4, 0.5], 0.1))(np.array([0.2, 0.5, 0.1]))
+        assert len(calls) == 1
 
 
 class TestOptimizeLocal:
