@@ -137,6 +137,8 @@ class HyperBounds:
     def box(self, d: int, composition: str = "additive") -> list[tuple[float, float]]:
         """(lower, upper) per entry of the optimization vector that :meth:`HyperParams.from_vector`
         reads: the d variances (one for tensor), the d lengthscales, then tau^2."""
+        if composition not in ("additive", "tensor"):
+            raise ValueError(f"unknown composition {composition!r}")
         n_var = d if composition == "additive" else 1
         return [self.variance] * n_var + [self.lengthscale] * d + [self.noise]
 
@@ -170,6 +172,7 @@ class _Likelihood:
         self.Y = dataset.Y
         X = np.ascontiguousarray(dataset.X.T)  # C-ordered slices keep every summation order
         self.dist = np.abs(X[:, :, None] - X[:, None, :])
+        self._buf = np.empty_like(self.dist), np.empty_like(self.dist)  # every call's R and q
 
     def _solve(self, K: np.ndarray, noise: float) -> tuple[float, np.ndarray]:
         """(value, W) from one factorization of K + tau^2 I, calling LAPACK directly; K is
@@ -202,7 +205,7 @@ class _Likelihood:
         """(value, gradient over {sigma_i^2 (sigma_0^2 alone for tensor), theta_i, tau^2})."""
         for v, t in zip(p.variances.tolist(), p.lengthscales.tolist()):
             _check_params(p.family, v, t)
-        R, q = _corr(p.family, self.dist, p.lengthscales[:, None, None], dlog=True)
+        R, q = _corr(p.family, self.dist, p.lengthscales[:, None, None], dlog=True, out=self._buf)
         if p.composition == "additive":
             K = p.variances[0] * R[0]
             for v, Ri in zip(p.variances[1:], R[1:]):
@@ -222,14 +225,15 @@ class _Likelihood:
     def direction(self, l: int, p: HyperParams):
         """Objective over (sigma_l^2, theta_l, tau^2) with the other directions of the additive
         ``p`` fixed in K_rest = sum_{j != l} sigma_j^2 r_j: a call evaluates one correlation."""
-        K_rest = sum(v * _corr(p.family, r, t)
-                     for j, (r, v, t) in enumerate(zip(self.dist, p.variances, p.lengthscales)) if j != l)
         family, dist = p.family, self.dist[l]
+        buf = np.empty_like(dist), np.empty_like(dist)  # this closure's R and q
+        K_rest = sum(v * _corr(family, r, t, out=buf)
+                     for j, (r, v, t) in enumerate(zip(self.dist, p.variances, p.lengthscales)) if j != l)
 
         def value_and_grad(x):
             v, t, noise = x.tolist()
             _check_params(family, v, t)
-            R, q = _corr(family, dist, t, dlog=True)
+            R, q = _corr(family, dist, t, dlog=True, out=buf)
             K = v * R
             K += K_rest
             value, W = self._solve(K, noise)

@@ -53,16 +53,35 @@ def _check_params(family: str, variance: float, lengthscale: float) -> None:
         raise ValueError(f"lengthscale must be finite and > 0, got {lengthscale}")
 
 
-def _corr(family: str, r, theta: float, dlog: bool = False):
+def _corr(family: str, r, theta, dlog: bool = False, out=None):
     """Unit-variance correlation at distances r = |x - y|; with ``dlog`` also q = d log corr /
-    d theta, r^2/theta^3 (Gaussian) or s^2/((1+s) theta) (Matern 3/2), finite where corr is 0."""
+    d theta, r^2/theta^3 (Gaussian) or s^2/((1+s) theta) (Matern 3/2), finite where corr is 0.
+
+    The results go into ``out``, a pair of float arrays of the broadcast shape of r and theta
+    (fresh ones when None): corr into out[0] and q into out[1], which is scratch without
+    ``dlog``.  r may be out[0] itself."""
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(r), np.shape(theta))
+        out = np.empty(shape), np.empty(shape)
+    R, q = out
     if family == "gaussian":
-        z = (r / theta) ** 2
-        R = np.exp(-0.5 * z)
-        return (R, z / theta) if dlog else R
-    s = _SQRT3 * r / theta
-    R = (1.0 + s) * np.exp(-s)
-    return (R, s**2 / ((1.0 + s) * theta)) if dlog else R
+        z = np.square(np.divide(r, theta, out=q), out=q)  # (r / theta)^2
+        np.exp(np.multiply(z, -0.5, out=R), out=R)
+        if not dlog:
+            return R
+        z /= theta
+        return R, z
+    s = np.divide(np.multiply(r, _SQRT3, out=q), theta, out=q)  # sqrt(3) r / theta
+    if not dlog:
+        np.add(s, 1.0, out=R)
+        R *= np.exp(np.negative(s, out=s), out=s)
+        return R
+    one_s = s + 1.0  # the one temporary: R and q both need 1 + s
+    np.multiply(np.exp(np.negative(s, out=R), out=R), one_s, out=R)
+    one_s *= theta
+    np.square(s, out=q)
+    q /= one_s
+    return R, q
 
 
 @dataclass(frozen=True)
@@ -76,10 +95,15 @@ class UnivariateKernel:
     def __post_init__(self):
         _check_params(self.family, self.variance, self.lengthscale)
 
-    def corr(self, x, y):
-        """Unit-variance correlation r(x, y); broadcasts over arrays."""
-        r = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-        return _corr(self.family, r, self.lengthscale)
+    def corr(self, x, y, out=None):
+        """Unit-variance correlation r(x, y); broadcasts over arrays.  With ``out``, a pair of
+        float arrays of the broadcast shape, |x - y| and then r(x, y) are written into out[0],
+        and out[1] is scratch."""
+        if out is None:
+            r = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
+        else:
+            r = np.abs(np.subtract(x, y, out=out[0]), out=out[0])
+        return _corr(self.family, r, self.lengthscale, out=out)
 
     def corr_dtheta(self, x, y):
         """Element-wise derivative of corr(x, y) w.r.t. the lengthscale."""
@@ -134,20 +158,34 @@ def eval_kernel(kernel: AdditiveKernel, x, y) -> float:
     return float(cross_cov(kernel, x[None, :], y[None, :])[0, 0])
 
 
+# Cells per chunk of rows in cross_cov: one chunk's distance and scratch buffers stay in cache
+# while every elementwise pass of a direction runs over them.
+_CHUNK = 2**15
+
+
 def cross_cov(kernel: AdditiveKernel, X, Y) -> np.ndarray:
     """Covariance matrix K(x^(i), y^(j)) between two designs (n x d, m x d)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != kernel.dims or Y.shape[1] != kernel.dims:
         raise ValueError("design dimension does not match kernel dims")
+    m, n = len(X), len(Y)
     if kernel.is_additive:
-        out = np.zeros((X.shape[0], Y.shape[0]))
+        out = np.zeros((m, n))
+    else:
+        out = np.full((m, n), _total_variance(kernel))
+    rows = max(1, _CHUNK // max(n, 1))
+    buf = np.empty((2, min(rows, m), n))
+    for lo in range(0, m, rows):
+        chunk = out[lo:lo + rows]
+        R, scratch = buf[:, :len(chunk)]
         for i, k in enumerate(kernel.components):
-            out += k.variance * k.corr(X[:, i, None], Y[None, :, i])
-        return out
-    out = np.full((X.shape[0], Y.shape[0]), _total_variance(kernel))
-    for i, k in enumerate(kernel.components):
-        out *= k.corr(X[:, i, None], Y[None, :, i])
+            k.corr(X[lo:lo + rows, i, None], Y[None, :, i], out=(R, scratch))
+            if kernel.is_additive:
+                R *= k.variance
+                chunk += R
+            else:
+                chunk *= R
     return out
 
 
@@ -163,8 +201,8 @@ def cov_matrix(kernel: AdditiveKernel, X, noise: float = 0.0) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if noise < 0:
         raise ValueError("noise variance must be >= 0")
+    # Exactly symmetric: |x_i - x_j| is |x_j - x_i| and every later operation is elementwise.
     K = cross_cov(kernel, X, X)
-    K = 0.5 * (K + K.T)
     if noise:
         K[np.diag_indices_from(K)] += noise
     return K

@@ -229,6 +229,39 @@ class TestLikelihoodEngine:
             np.testing.assert_allclose(nll_gradient(p, ds), want, rtol=1e-9)
 
 
+class TestReusedBuffers:
+    @pytest.mark.parametrize("fam", ["gaussian", "matern32"])
+    def test_interleaved_calls_match_a_fresh_engine(self, fam):
+        # The engine's R/q buffers and each direction closure's pair are overwritten by
+        # every call; no result may depend on what an earlier call left in them.
+        d = 3
+        ds = random_dataset(17, d, 41)
+        rng = np.random.default_rng(42)
+
+        def params(comp="additive"):
+            v = rng.uniform(0.1, 2.0, d)
+            if comp == "tensor":
+                v[1:] = 1.0
+            return HyperParams(v, rng.uniform(0.05, 1.0, d), float(rng.uniform(1e-3, 0.3)), fam, comp)
+
+        lik = _Likelihood(ds)
+        p0, p2 = params(), params()
+        first, last = lik.direction(0, p0), lik.direction(d - 1, p2)
+        add, tensor, x0, x2 = params(), params("tensor"), rng.uniform(0.1, 1.0, 3), rng.uniform(0.1, 1.0, 3)
+        # Calls repeat with others in between, so anything a call read back from a buffer shows.
+        calls = [(lik, add), (first, x0), (lik, add), (last, x2), (lik, tensor), (first, x0), (last, x2),
+                 (lik, tensor), (first, rng.uniform(0.1, 1.0, 3)), (lik, params()), (last, x2)]
+        for f, arg in calls:
+            value, grad = f(arg)
+            if f is lik:
+                want_value, want_grad = _Likelihood(ds)(arg)
+            else:
+                l, p = (0, p0) if f is first else (d - 1, p2)
+                want_value, want_grad = _Likelihood(ds).direction(l, p)(arg)
+            assert value == want_value
+            np.testing.assert_array_equal(grad, want_grad)
+
+
 def reference_solve(K, noise, Y):
     """The scipy-wrapper route the engine's direct LAPACK calls replaced: cholesky, cho_solve,
     dpotri and an np.tril fill, with the pivot test spelled out."""
@@ -645,6 +678,11 @@ class TestHelpers:
     def test_bounds_reject_boxes_the_objective_cannot_evaluate(self, boxes):
         with pytest.raises(ValueError):
             HyperBounds(*boxes)
+
+    def test_box_rejects_an_unknown_composition(self):
+        hb = HyperBounds((0, 1), (0.1, 1), (0, 1))
+        with pytest.raises(ValueError, match="composition"):
+            hb.box(2, "foo")
 
     def test_bounds_at_the_objective_domain_edge_are_valid(self):
         # Zero variances and zero noise are evaluable; so are collapsed boxes there.

@@ -399,6 +399,23 @@ class TestBlockedPrediction:
         assert peak <= 10 * block_bytes
 
 
+    @pytest.mark.parametrize("f", [predict_var, lambda model, pts: centered_effect(model, 0, pts[:, 0])],
+                             ids=["predict_var", "centered_effect"])
+    def test_memory_stays_below_four_blocks(self, f):
+        # One block's cross-covariance, its triangular solve and one elementwise temporary;
+        # the kernel itself adds only its chunk buffers, a small share of a block at this n.
+        model = self.model(n=1000)
+        block_bytes = BLOCK * model.dataset.n * 8
+        pts = np.random.default_rng(4).uniform(size=(8 * BLOCK, 2))
+        tracemalloc.start()
+        try:
+            f(model, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * block_bytes
+
+
 class TestScaleSweep:
     """_VAR_CLAMP is absolute; no response scale in 1e-3..1e5 may trip it."""
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from addkrig import (
     kernel_to_json,
     make_kernel,
 )
+from addkrig.kernels import _CHUNK, _corr, cross_cov
 
 
 def gauss_legendre_integral(spec, x, nodes=128):
@@ -237,3 +239,86 @@ class TestSerialization:
             (UnivariateKernel("gaussian", 1.0, 0.5), UnivariateKernel("matern32", 2.0, 0.3))
         )
         assert kernel_from_json(kernel_to_json(k)) == k
+
+
+def reference_corr(family, r, theta, dlog=False):
+    """The allocating formulas the in-place evaluator must reproduce bit for bit."""
+    if family == "gaussian":
+        z = (r / theta) ** 2
+        R = np.exp(-0.5 * z)
+        return (R, z / theta) if dlog else R
+    s = math.sqrt(3.0) * r / theta
+    R = (1.0 + s) * np.exp(-s)
+    return (R, s**2 / ((1.0 + s) * theta)) if dlog else R
+
+
+def reference_cross_cov(kernel, X, Y):
+    """Unchunked: one m x n distance array per direction, then the variance times its
+    correlation summed (additive), or the total variance times the product (tensor)."""
+    if kernel.is_additive:
+        out = np.zeros((len(X), len(Y)))
+        for i, k in enumerate(kernel.components):
+            out += k.variance * reference_corr(k.family, np.abs(X[:, i, None] - Y[None, :, i]), k.lengthscale)
+        return out
+    out = np.full((len(X), len(Y)), math.prod(k.variance for k in kernel.components))
+    for i, k in enumerate(kernel.components):
+        out *= reference_corr(k.family, np.abs(X[:, i, None] - Y[None, :, i]), k.lengthscale)
+    return out
+
+
+class TestInPlaceEvaluator:
+    @pytest.mark.parametrize("family", ["gaussian", "matern32"])
+    @pytest.mark.parametrize("dlog", [False, True])
+    def test_corr_with_buffers_matches_the_formulas(self, family, dlog):
+        rng = np.random.default_rng(5)
+        r = np.abs(rng.uniform(-1.0, 1.0, (3, 40, 40)))
+        r[:, 0, :5] = [0.0, 1e-300, 1e-8, 5.0, 1e3]  # zero distance and underflowing correlations
+        for theta in (0.37, 1e-3, rng.uniform(1e-3, 2.0, (3, 1, 1))):  # scalar and stacked
+            want = reference_corr(family, r, theta, dlog)
+            want = want if dlog else (want,)
+            buf = np.full((2,) + r.shape, np.nan)
+            aliased = r.copy(), np.empty_like(r)  # r may be the result buffer itself
+            for got in (_corr(family, r, theta, dlog), _corr(family, r, theta, dlog, out=tuple(buf)),
+                        _corr(family, aliased[0], theta, dlog, out=aliased)):
+                for g, w in zip(got if dlog else (got,), want):
+                    np.testing.assert_array_equal(g, w)
+            for b, w in zip(buf, want):  # the results went into the buffers
+                np.testing.assert_array_equal(b, w)
+
+    @pytest.mark.parametrize("family", ["gaussian", "matern32"])
+    @pytest.mark.parametrize("composition", ["additive", "tensor"])
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_cross_cov_matches_unchunked_reference(self, family, composition, n):
+        rng = np.random.default_rng(n)
+        k = make_kernel(family, rng.uniform(0.1, 2.0, 3), rng.uniform(0.05, 1.0, 3), composition)
+        Y = rng.uniform(size=(n, 3))
+        chunk = _CHUNK // n  # rows per chunk
+        for m in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+            X = rng.uniform(size=(m, 3))
+            np.testing.assert_array_equal(cross_cov(k, X, Y), reference_cross_cov(k, X, Y))
+
+    @pytest.mark.parametrize("family", ["gaussian", "matern32"])
+    @pytest.mark.parametrize("composition", ["additive", "tensor"])
+    def test_cross_cov_of_a_design_is_exactly_symmetric(self, family, composition):
+        # Chunk boundaries fall mid-matrix, so row i and column i come from different chunks.
+        n = _CHUNK // 100
+        assert 2 < n // (_CHUNK // n)
+        rng = np.random.default_rng(8)
+        k = make_kernel(family, rng.uniform(0.1, 2.0, 4), rng.uniform(0.05, 1.0, 4), composition)
+        X = rng.uniform(size=(n, 4))
+        K = cross_cov(k, X, X)
+        np.testing.assert_array_equal(K, K.T)
+        K[np.diag_indices_from(K)] += 0.01
+        np.testing.assert_array_equal(cov_matrix(k, X, 0.01), K)
+
+    def test_cross_cov_memory_is_its_output(self):
+        rng = np.random.default_rng(9)
+        k = make_kernel("matern32", [1.0, 0.5, 2.0, 0.3], [0.2, 0.4, 0.6, 0.8])
+        X, Y = rng.uniform(size=(2000, 4)), rng.uniform(size=(1000, 4))
+        tracemalloc.start()
+        try:
+            cross_cov(k, X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 2000 * 1000 * 8
