@@ -137,6 +137,12 @@ def lhs_maximin(n: int, d: int, seed: int = 0, n_improvement_steps: int = 10000)
     dimension) and hill-climbs the minimum pairwise distance by proposing
     coordinate exchanges between two rows in one dimension; exchanges keep the
     Latin property by construction.  Deterministic given ``seed``.
+
+    An exchange of rows i and j changes only the distances from i and j, so
+    when the pair (a, b) at the current minimum involves neither row, that
+    minimum survives, the exchange cannot raise it and it is rejected without
+    computing any distance.  Only exchanges that touch (a, b) are evaluated;
+    the proposals are drawn exactly as before, so the designs are unchanged.
     """
     if n < 2:
         raise ValueError("need at least two design points")
@@ -144,16 +150,21 @@ def lhs_maximin(n: int, d: int, seed: int = 0, n_improvement_steps: int = 10000)
     X = np.empty((n, d))
     for j in range(d):
         X[:, j] = (rng.permutation(n) + rng.uniform(size=n)) / n
+    if n_improvement_steps <= 0:
+        return X
 
     # Squared-distance matrix maintained incrementally across proposals.
     diff = X[:, None, :] - X[None, :, :]
     D = np.sum(diff * diff, axis=2)
     np.fill_diagonal(D, np.inf)
     current_min = D.min()
+    a, b = divmod(int(D.argmin()), n)  # one row pair at the current minimum
 
     for _ in range(n_improvement_steps):
         i, j = rng.choice(n, size=2, replace=False)
         k = rng.integers(d)
+        if a != i and a != j and b != i and b != j:
+            continue
         X[i, k], X[j, k] = X[j, k], X[i, k]
         di = _min_sq_dist_rows(X, i)
         dj = _min_sq_dist_rows(X, j)
@@ -167,6 +178,7 @@ def lhs_maximin(n: int, d: int, seed: int = 0, n_improvement_steps: int = 10000)
         if new_min > current_min:
             D = D_new
             current_min = new_min
+            a, b = divmod(int(D.argmin()), n)
         else:
             X[i, k], X[j, k] = X[j, k], X[i, k]
     return X

@@ -313,7 +313,7 @@ def _predict(gp: FittedGP, x, with_var: bool):
         k = cross_cov(gp.kernel, pts[blk], gp.dataset.X)
         mean[blk] = gp.y_mean + k @ gp.weights
         if with_var:
-            v = solve_triangular(gp.factor, k.T, lower=True)
+            v = solve_triangular(gp.factor, k.T, lower=True, check_finite=False)
             var[blk] = prior - np.sum(v * v, axis=0)
     if with_var:
         var = _clamp_var(var)
@@ -352,19 +352,23 @@ def _direction_pass(gp: FittedGP, direction: int, x_i, centered: bool):
     design and one triangular solve per block of points.  Returns a tuple of 2 or 4 floats
     (scalar x_i) or arrays."""
     _require_additive(gp)
+    if not 0 <= direction < gp.kernel.dims:
+        raise ValueError("direction index out of range")
     x_i = np.asarray(x_i, dtype=float)
+    if not np.all(np.isfinite(x_i)):
+        raise ValueError("query points must be finite")
     xi = np.atleast_1d(x_i)
     spec = gp.kernel.components[direction]
     kernel, Xd = AdditiveKernel((spec,)), gp.dataset.X[:, [direction]]
     out = np.empty((4 if centered else 2, len(xi)))
     if centered:
         I_i = np.asarray(integral_univariate(spec, Xd[:, 0]))  # int K_i(x_j, s) ds
-        Kinv_I = cho_solve((gp.factor, True), I_i)
+        Kinv_I = cho_solve((gp.factor, True), I_i, check_finite=False)
         single_int = np.asarray(integral_univariate(spec, xi))
         double_int = double_integral_univariate(spec)
     for blk in _blocks(len(xi)):
         k_i = cross_cov(kernel, xi[blk, None], Xd)
-        v = solve_triangular(gp.factor, k_i.T, lower=True)
+        v = solve_triangular(gp.factor, k_i.T, lower=True, check_finite=False)
         out[0, blk] = gp.y_mean / gp.kernel.dims + k_i @ gp.weights
         out[1, blk] = v_i = _clamp_var(spec.variance - np.sum(v * v, axis=0))
         if centered:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from addkrig import bench as bench_mod
 from addkrig import make_kernel
 from addkrig.bench import (
     BenchmarkReport,
@@ -164,6 +167,92 @@ class TestLHS:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             lhs_maximin(1, 2)
+
+
+def _reference_sq_dist_rows(X, i):
+    d2 = np.sum((X - X[i]) ** 2, axis=1)
+    d2[i] = np.inf
+    return d2
+
+
+def reference_lhs_maximin(n, d, seed=0, n_improvement_steps=10000):
+    """The hill climb with every proposal evaluated in full (two rows of distances and the
+    minimum of a copy of D), kept verbatim as the oracle for the early rejection."""
+    if n < 2:
+        raise ValueError("need at least two design points")
+    rng = np.random.default_rng(seed)
+    X = np.empty((n, d))
+    for j in range(d):
+        X[:, j] = (rng.permutation(n) + rng.uniform(size=n)) / n
+
+    # Squared-distance matrix maintained incrementally across proposals.
+    diff = X[:, None, :] - X[None, :, :]
+    D = np.sum(diff * diff, axis=2)
+    np.fill_diagonal(D, np.inf)
+    current_min = D.min()
+
+    for _ in range(n_improvement_steps):
+        i, j = rng.choice(n, size=2, replace=False)
+        k = rng.integers(d)
+        X[i, k], X[j, k] = X[j, k], X[i, k]
+        di = _reference_sq_dist_rows(X, i)
+        dj = _reference_sq_dist_rows(X, j)
+        D_new = D.copy()
+        D_new[i, :] = di
+        D_new[:, i] = di
+        D_new[j, :] = dj
+        D_new[:, j] = dj
+        D_new[i, j] = D_new[j, i] = di[j]
+        new_min = D_new.min()
+        if new_min > current_min:
+            D = D_new
+            current_min = new_min
+        else:
+            X[i, k], X[j, k] = X[j, k], X[i, k]
+    return X
+
+
+class TestLHSEarlyRejection:
+    @pytest.mark.parametrize("steps", [0, 1, 50, 2000])
+    @pytest.mark.parametrize("n", [2, 3, 10, 30, 40, 60])
+    def test_matches_full_evaluation(self, n, steps):
+        for d in (1, 2, 3, 4, 6):
+            seed = 100 * n + 10 * d + steps
+            np.testing.assert_array_equal(
+                lhs_maximin(n, d, seed=seed, n_improvement_steps=steps),
+                reference_lhs_maximin(n, d, seed=seed, n_improvement_steps=steps),
+            )
+
+    @pytest.mark.parametrize("n, d", [(40, 4), (30, 3), (60, 6)])
+    def test_study_shapes_match_full_evaluation(self, n, d):
+        # The g-function study draws seeds master_seed + 1000 + run, the paths study
+        # master_seed + d.
+        for seed in (d, 1000, 1019):
+            np.testing.assert_array_equal(
+                lhs_maximin(n, d, seed=seed, n_improvement_steps=2000),
+                reference_lhs_maximin(n, d, seed=seed, n_improvement_steps=2000),
+            )
+
+    def test_most_proposals_skip_the_distance_rows(self, monkeypatch):
+        calls = [0]
+        rows = bench_mod._min_sq_dist_rows
+
+        def counted(X, i):
+            calls[0] += 1
+            return rows(X, i)
+
+        monkeypatch.setattr(bench_mod, "_min_sq_dist_rows", counted)
+        lhs_maximin(40, 4, seed=1000, n_improvement_steps=2000)
+        assert 0 < calls[0] <= 2000  # full evaluation of every proposal: 4000 rows
+
+    def test_no_improvement_steps_builds_no_distance_matrix(self):
+        tracemalloc.start()
+        try:
+            lhs_maximin(1000, 4, seed=0, n_improvement_steps=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # the 1000 x 1000 x 4 difference tensor alone is 32 MB
 
 
 class TestSamplePath:

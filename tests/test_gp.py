@@ -193,6 +193,26 @@ class TestSubModels:
         with pytest.raises(ValueError):
             centered_effect(gp, 0, 0.5)
 
+    @pytest.mark.parametrize("fn", [sub_model, centered_effect])
+    def test_direction_out_of_range(self, fn):
+        rng = np.random.default_rng(15)
+        ds = Dataset(rng.uniform(size=(5, 2)), rng.standard_normal(5))
+        gp = fit_gp(make_kernel("gaussian", [1.0, 0.5], [0.4, 0.6]), ds, 1e-3)
+        for direction in (-1, 2):
+            with pytest.raises(ValueError, match="direction index out of range"):
+                fn(gp, direction, 0.5)
+
+    @pytest.mark.parametrize("fn", [sub_model, centered_effect])
+    @pytest.mark.parametrize("x_i", [[np.nan, 0.5], [np.inf]])
+    def test_non_finite_points_rejected_without_warning(self, fn, x_i):
+        # Warnings are errors under the test configuration, so a kernel warning before the
+        # ValueError fails the test.
+        rng = np.random.default_rng(16)
+        ds = Dataset(rng.uniform(size=(5, 2)), rng.standard_normal(5))
+        gp = fit_gp(make_kernel("matern32", [1.0, 0.5], [0.4, 0.6]), ds, 1e-3)
+        with pytest.raises(ValueError, match="finite"):
+            fn(gp, 0, x_i)
+
 
 class TestCenteredEffects:
     def fixed_model(self):
