@@ -62,10 +62,16 @@ def _resolve(args, defaults: dict) -> dict:
 
 
 def _int(cfg: dict, key: str) -> int:
+    """cfg[key] as an integer, stored back so that the echo records the value that runs."""
+    val = cfg[key]
+    error = InputError(f"{key} must be an integer, got {val!r}")
+    if isinstance(val, bool) or isinstance(val, float) and not val.is_integer():
+        raise error
     try:
-        return int(cfg[key])
+        cfg[key] = int(val)
     except (TypeError, ValueError):
-        raise InputError(f"{key} must be an integer, got {cfg[key]!r}") from None
+        raise error from None
+    return cfg[key]
 
 
 def _echo_config(out_dir: Path, cfg: dict) -> None:
@@ -75,8 +81,13 @@ def _echo_config(out_dir: Path, cfg: dict) -> None:
 
 
 def _out_dir(cfg) -> Path:
+    if not isinstance(cfg["out"], str):
+        raise InputError(f"out must be a directory path, got {cfg['out']!r}")
     out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise InputError(f"cannot make output directory {out}: {exc}") from None
     return out
 
 
@@ -237,7 +248,10 @@ def _study_options(config_cls, cfg: dict) -> dict:
         try:
             if kind is tuple and not isinstance(val, list):
                 raise TypeError
-            opts[f.name] = tuple(map(type(f.default[0]), val)) if kind is tuple else kind(val)
+            if kind is int:
+                opts[f.name] = _int(cfg, f.name)
+            else:
+                opts[f.name] = tuple(map(type(f.default[0]), val)) if kind is tuple else kind(val)
         except (TypeError, ValueError):
             raise InputError(f"{f.name} must be like {json.dumps(f.default)}, got {val!r}") from None
     return opts

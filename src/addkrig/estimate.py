@@ -36,8 +36,8 @@ import numpy as np
 # benchmark's tracer can count the calls through it.
 from scipy.linalg.lapack import dpotrf as cholesky
 from scipy.linalg.lapack import dpotri, dpotrs
-from scipy.optimize import minimize
 
+from ._lbfgsb import minimize  # bound by name, like cholesky, so the tracer times each run
 from .gp import Dataset, _check_pivots
 from .kernels import _FAMILIES, AdditiveKernel, _check_params, _corr, make_kernel
 
@@ -62,6 +62,13 @@ __all__ = [
 _SENTINEL = 1e12
 
 
+def _check_names(family: str, composition: str) -> None:
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown kernel family {family!r}")
+    if composition not in ("additive", "tensor"):
+        raise ValueError(f"unknown composition {composition!r}")
+
+
 @dataclass(frozen=True)
 class HyperParams:
     """Per-direction (variance, lengthscale) pairs plus the noise variance tau^2."""
@@ -79,10 +86,7 @@ class HyperParams:
             raise ValueError("variances and lengthscales must have equal length")
         if not (math.isfinite(self.noise) and self.noise >= 0):
             raise ValueError(f"noise variance must be finite and >= 0, got {self.noise}")
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.composition not in ("additive", "tensor"):
-            raise ValueError(f"unknown composition {self.composition!r}")
+        _check_names(self.family, self.composition)
 
     @property
     def d(self) -> int:
@@ -99,8 +103,15 @@ class HyperParams:
         n_var = d if composition == "additive" else 1
         if x.shape != (n_var + d + 1,):
             raise ValueError(f"expected a vector of {n_var + d + 1} entries, got shape {x.shape}")
-        variances = x[:d] if composition == "additive" else np.concatenate([x[:1], np.ones(d - 1)])
-        return cls(variances, x[n_var:n_var + d], float(x[-1]), family, composition)
+        return cls(*_split(x, d, composition), family, composition)
+
+
+def _split(x: np.ndarray, d: int, composition: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """(variances, lengthscales, tau^2) of a vector laid out as :meth:`HyperBounds.box`, as views
+    where they can be."""
+    if composition == "additive":
+        return x[:d], x[d:2 * d], float(x[-1])
+    return np.concatenate([x[:1], np.ones(d - 1)]), x[1:d + 1], float(x[-1])
 
 
 def additivity_ratio(params: HyperParams) -> float:
@@ -203,23 +214,26 @@ class _Likelihood:
 
     def __call__(self, p: HyperParams) -> tuple[float, np.ndarray]:
         """(value, gradient over {sigma_i^2 (sigma_0^2 alone for tensor), theta_i, tau^2})."""
-        for v, t in zip(p.variances.tolist(), p.lengthscales.tolist()):
-            _check_params(p.family, v, t)
-        R, q = _corr(p.family, self.dist, p.lengthscales[:, None, None], dlog=True, out=self._buf)
-        if p.composition == "additive":
-            K = p.variances[0] * R[0]
-            for v, Ri in zip(p.variances[1:], R[1:]):
+        return self._evaluate(p.family, p.composition, p.variances, p.lengthscales, p.noise)
+
+    def _evaluate(self, family, composition, variances, lengthscales, noise):
+        for v, t in zip(variances.tolist(), lengthscales.tolist()):
+            _check_params(family, v, t)
+        R, q = _corr(family, self.dist, lengthscales[:, None, None], dlog=True, out=self._buf)
+        if composition == "additive":
+            K = variances[0] * R[0]
+            for v, Ri in zip(variances[1:], R[1:]):
                 K += v * Ri
-            value, W = self._solve(K, p.noise)
+            value, W = self._solve(K, noise)
             WR = W * R
             grad = list(WR.sum(axis=(1, 2)))  # one pairwise sum per C-ordered slice
-            grad += [v * np.vdot(x, qi) for v, x, qi in zip(p.variances, WR, q)]
+            grad += [v * np.vdot(x, qi) for v, x, qi in zip(variances, WR, q)]
         else:
             P = math.prod(R)  # correlation product
-            value, W = self._solve(np.prod(p.variances) * P, p.noise)
+            value, W = self._solve(np.prod(variances) * P, noise)
             WP = W * P
-            grad = [np.prod(p.variances[1:]) * WP.sum()]
-            grad += [np.prod(p.variances) * np.vdot(WP, qi) for qi in q]
+            grad = [np.prod(variances[1:]) * WP.sum()]
+            grad += [np.prod(variances) * np.vdot(WP, qi) for qi in q]
         return value, np.append(grad, W.trace())
 
     def direction(self, l: int, p: HyperParams):
@@ -285,7 +299,9 @@ def optimize_local(
 ) -> OptResult:
     """Box-constrained quasi-Newton descent (L-BFGS-B) with call counting.
 
-    ``bounds`` is one (lower, upper) pair per entry of ``x``, as scipy's L-BFGS-B takes.
+    scipy's compiled L-BFGS-B is stepped directly (``_lbfgsb.minimize``), with iterates bit for
+    bit those of ``scipy.optimize.minimize(method="L-BFGS-B", jac=True)`` at its defaults and
+    ``maxfun=max_evals``.  ``bounds`` is one (lower, upper) pair per entry of ``x``.
     ``value_and_grad(x) -> (f, g)`` may raise ``np.linalg.LinAlgError`` to
     signal an infeasible point; a large finite sentinel with a retreating
     gradient is fed to the optimizer instead.  Every call is counted,
@@ -293,7 +309,6 @@ def optimize_local(
     (never worse than the start).
     """
     lower, upper = np.array(bounds, dtype=float).T
-    start = np.clip(np.asarray(start, dtype=float), lower, upper)
     n_calls = 0
     best = {"x": None, "f": np.inf}
 
@@ -312,17 +327,10 @@ def optimize_local(
             best["x"] = np.array(x)
         return f, np.asarray(g, dtype=float)
 
-    res = minimize(
-        wrapped,
-        start,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={"maxfun": max_evals},
-    )
+    converged = minimize(wrapped, start, lower, upper, max_evals)
     if best["x"] is None:
         raise np.linalg.LinAlgError("objective never evaluated successfully")
-    exhausted = n_calls >= max_evals and not res.success
+    exhausted = n_calls >= max_evals and not converged
     return OptResult(np.clip(best["x"], lower, upper), best["f"], n_calls, not exhausted)
 
 
@@ -409,9 +417,14 @@ def estimate_ulm(
     """
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
+    _check_names(family, composition)
     d = dataset.d
     box = (bounds or default_bounds(dataset)).box(d, composition)
     lik = _Likelihood(dataset)
+
+    def objective(x):  # the vector read as HyperParams.from_vector reads it, without building one
+        return lik._evaluate(family, composition, *_split(x, d, composition))
+
     rng = np.random.default_rng(seed)
 
     trace = EstimationTrace()
@@ -420,8 +433,7 @@ def estimate_ulm(
     for r in range(n_restarts):
         start = np.mean(box, axis=1) if r == 0 else rng.uniform(*np.transpose(box))
         try:
-            res = optimize_local(lambda x: lik(HyperParams.from_vector(x, d, family, composition)),
-                                 box, start, max_evals=max_evals)
+            res = optimize_local(objective, box, start, max_evals=max_evals)
         except np.linalg.LinAlgError:
             continue
         trace.add(r + 1, 0, res.n_calls, res.value, float(res.x[-1]))

@@ -312,7 +312,8 @@ def _kernel_edit(**fields):
     return lambda obj: {**obj, "kernel": {**obj["kernel"], **fields}}
 
 
-# Each case builds an argv (minus --out) from (tmp_path, data_csv).
+# Each case builds an argv from (tmp_path, data_csv); it runs in tmp_path, where the default
+# --out lands.
 MALFORMED_INPUTS = {
     "csv-without-rows": lambda t, d: ["fit", "--data", _write(t / "e.csv", "x1,x2,y\n")],
     "fit-config-is-list": lambda t, d: ["fit", "--data", str(d), "--config", _write(t / "c.json", "[1, 2]")],
@@ -346,14 +347,31 @@ MALFORMED_INPUTS = {
     "fit-unknown-composition": lambda t, d: [
         "fit", "--data", str(d), "--method", "ulm", "--config", _write(t / "c.json", '{"composition": "foo"}')],
     "fit-negative-seed": lambda t, d: ["fit", "--data", str(d), "--seed", "-1", "--method", "ulm"],
+    "fit-out-is-a-file": lambda t, d: ["fit", "--data", str(d), "--out", _write(t / "o", "a file\n")],
+    "bench-out-is-a-file": lambda t, d: ["bench", "paths", "--out", _write(t / "o", "a file\n")],
+    "non-string-out": lambda t, d: ["bench", "paths", "--config", _write(t / "c.json", '{"out": 5}')],
+    "fractional-iterations": lambda t, d: [
+        "fit", "--data", str(d), "--config", _write(t / "c.json", '{"iterations": 1.7}')],
+    "bool-seed": lambda t, d: ["fit", "--data", str(d), "--config", _write(t / "c.json", '{"seed": true}')],
+    "fractional-n-paths": lambda t, d: ["bench", "paths", "--config", _write(t / "c.json", '{"n_paths": 1.5}')],
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
-def test_malformed_input_is_an_input_error(case, tmp_path, data_csv, capsys):
-    argv = MALFORMED_INPUTS[case](tmp_path, data_csv) + ["--out", str(tmp_path / "o")]
-    assert main(argv) == EXIT_INPUT
+def test_malformed_input_is_an_input_error(case, tmp_path, data_csv, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(MALFORMED_INPUTS[case](tmp_path, data_csv)) == EXIT_INPUT
     assert "error:" in capsys.readouterr().err
+
+
+def test_integral_float_runs_and_is_echoed_as_an_integer(tmp_path):
+    model = _model_file(tmp_path, lambda o: o)
+    out = tmp_path / "e"
+    assert main(["effects", "--model", model, "--out", str(out),
+                 "--config", _write(tmp_path / "c.json", '{"grid_size": 3.0}')]) == EXIT_OK
+    echo = json.loads((out / "config_echo.json").read_text())
+    assert echo["grid_size"] == 3 and isinstance(echo["grid_size"], int)
+    assert len((out / "effects.csv").read_text().splitlines()) == 1 + 3
 
 
 def test_ulm_on_full_factorial_grid_is_refit(tmp_path):
