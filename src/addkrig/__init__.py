@@ -42,8 +42,6 @@ from .kernels import (
     cov_matrix,
     cross_cov,
     double_integral_univariate,
-    eval_kernel,
-    grad_cov_matrix,
     integral_univariate,
     kernel_from_json,
     kernel_to_json,

@@ -34,7 +34,7 @@ from .estimate import (
     estimate_ulm,
 )
 from .gp import Dataset, fit_gp, predict_mean
-from .kernels import _FAMILIES, AdditiveKernel, _check_params, cov_matrix, make_kernel
+from .kernels import AdditiveKernel, _check_names, _check_params, cov_matrix, make_kernel
 
 __all__ = [
     "GFunctionSpec",
@@ -305,8 +305,9 @@ class GFunctionBenchConfig:
 
     def __post_init__(self):
         GFunctionSpec(self.a)  # raises unless every a_k > 0
-        if self.family not in _FAMILIES or not set(self.methods) <= set(_METHODS):
-            raise ValueError(f"unknown kernel family {self.family!r} or method in {self.methods}")
+        _check_names(self.family)
+        if not set(self.methods) <= set(_METHODS):
+            raise ValueError(f"unknown method in {self.methods}")
         _check_minima(self, n_designs=0, design_size=2, rlm_iterations=1, test_size=2, master_seed=0,
                       lhs_steps=0, ulm_max_evals=1, rlm_max_evals_inner=1)
 

@@ -23,6 +23,7 @@ from . import bench as bench_mod
 from .bench import GFunctionBenchConfig, PathsBenchConfig
 from .estimate import additivity_ratio, default_bounds, estimate_rlm, estimate_ulm, write_traces
 from .gp import CholeskyFailure, Dataset, FittedGP, _direction_pass, _predict, fit_gp
+from .kernels import _COMPOSITIONS, _FAMILIES
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -30,8 +31,7 @@ EXIT_NUMERIC = 3
 EXIT_PARTIAL = 4
 
 # Allowed values of the fit settings that are names, for flags and config files alike.
-_FIT_CHOICES = {"kernel": ("gaussian", "matern32"), "composition": ("additive", "tensor"),
-               "method": ("rlm", "ulm")}
+_FIT_CHOICES = {"kernel": _FAMILIES, "composition": _COMPOSITIONS, "method": ("rlm", "ulm")}
 
 
 class InputError(Exception):
@@ -61,17 +61,28 @@ def _resolve(args, defaults: dict) -> dict:
     return cfg
 
 
-def _int(cfg: dict, key: str) -> int:
-    """cfg[key] as an integer, stored back so that the echo records the value that runs."""
+def _typed(cfg: dict, key: str, like=0):
+    """cfg[key] converted to the type of ``like`` (for a tuple, each entry to the type of like[0])
+    and stored back, so that the echo records the value that runs.  A bool is none of int, float
+    and str, and an int takes a float only when it is integral."""
     val = cfg[key]
-    error = InputError(f"{key} must be an integer, got {val!r}")
-    if isinstance(val, bool) or isinstance(val, float) and not val.is_integer():
-        raise error
+
+    def convert(kind, v):
+        if isinstance(v, bool) or kind is int and isinstance(v, float) and not v.is_integer():
+            raise TypeError
+        return kind(v)
+
     try:
-        cfg[key] = int(val)
-    except (TypeError, ValueError):
-        raise error from None
-    return cfg[key]
+        if not isinstance(like, tuple):
+            cfg[key] = convert(type(like), val)
+            return cfg[key]
+        if not isinstance(val, list):
+            raise TypeError
+        cfg[key] = [convert(type(like[0]), v) for v in val]
+        return tuple(cfg[key])
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int too large for a float
+        want = "an integer" if type(like) is int else f"like {json.dumps(like)}"
+        raise InputError(f"{key} must be {want}, got {val!r}") from None
 
 
 def _echo_config(out_dir: Path, cfg: dict) -> None:
@@ -98,7 +109,7 @@ def cmd_fit(args) -> int:
     })
     if cfg["data"] is None:
         raise InputError("fit requires --data")
-    iterations, seed = _int(cfg, "iterations"), _int(cfg, "seed")
+    iterations, seed = _typed(cfg, "iterations"), _typed(cfg, "seed")
     for key, allowed in _FIT_CHOICES.items():
         if cfg[key] not in allowed:
             raise InputError(f"{key} must be one of {', '.join(allowed)}, got {cfg[key]!r}")
@@ -133,7 +144,7 @@ def cmd_fit(args) -> int:
         print(exc.report.describe(), file=sys.stderr)
         return EXIT_NUMERIC
     model.save(out / "model.json")
-    result.trace.to_csv(out / "trace.csv", run_id="fit")
+    write_traces(out / "trace.csv", {"fit": result.trace})
     print(f"final l: {result.best_value:.6g}")
     print(f"tau2: {result.params.noise:.6g}")
     print(f"additivity ratio: {additivity_ratio(result.params):.6g}")
@@ -194,10 +205,10 @@ def cmd_effects(args) -> int:
     model = _load_model(cfg["model"])
     if not model.kernel.is_additive:
         raise InputError("effects require an additive model")
-    direction = _int(cfg, "direction") - 1  # CLI is 1-based like the x1..xd headers
+    direction = _typed(cfg, "direction") - 1  # CLI is 1-based like the x1..xd headers
     if not 0 <= direction < model.dataset.d:
         raise InputError(f"direction must be in 1..{model.dataset.d}")
-    grid_size = _int(cfg, "grid_size")
+    grid_size = _typed(cfg, "grid_size")
     if grid_size < 1:
         raise InputError("grid size must be at least 1")
     out = _out_dir(cfg)
@@ -222,7 +233,7 @@ def cmd_bench(args) -> int:
     if "master_seed" in cfg and args.seed is None:  # the studies' own name for the seed
         cfg["seed"] = cfg["master_seed"]
     cfg.pop("master_seed", None)
-    seed = _int(cfg, "seed")
+    seed = _typed(cfg, "seed")
     try:
         config = config_cls(**_study_options(config_cls, cfg), master_seed=seed)
     except ValueError as exc:  # a study field of the right type but out of range
@@ -240,21 +251,8 @@ def cmd_bench(args) -> int:
 
 def _study_options(config_cls, cfg: dict) -> dict:
     """The config's study fields, each converted to the type of the field's default."""
-    opts = {}
-    for f in config_cls.__dataclass_fields__.values():
-        if f.name not in cfg:
-            continue
-        val, kind = cfg[f.name], type(f.default)
-        try:
-            if kind is tuple and not isinstance(val, list):
-                raise TypeError
-            if kind is int:
-                opts[f.name] = _int(cfg, f.name)
-            else:
-                opts[f.name] = tuple(map(type(f.default[0]), val)) if kind is tuple else kind(val)
-        except (TypeError, ValueError):
-            raise InputError(f"{f.name} must be like {json.dumps(f.default)}, got {val!r}") from None
-    return opts
+    return {f.name: _typed(cfg, f.name, f.default)
+            for f in config_cls.__dataclass_fields__.values() if f.name in cfg}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -26,7 +26,6 @@ benchmark module.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -39,7 +38,7 @@ from scipy.linalg.lapack import dpotri, dpotrs
 
 from ._lbfgsb import minimize  # bound by name, like cholesky, so the tracer times each run
 from .gp import Dataset, _check_pivots
-from .kernels import _FAMILIES, AdditiveKernel, _check_params, _corr, make_kernel
+from .kernels import AdditiveKernel, _check_names, _check_params, _corr
 
 __all__ = [
     "HyperParams",
@@ -60,13 +59,6 @@ __all__ = [
 # Sentinel magnitude returned to the optimizer when the covariance cannot be
 # factorized; finite so that line searches can retreat.
 _SENTINEL = 1e12
-
-
-def _check_names(family: str, composition: str) -> None:
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown kernel family {family!r}")
-    if composition not in ("additive", "tensor"):
-        raise ValueError(f"unknown composition {composition!r}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +85,7 @@ class HyperParams:
         return self.variances.shape[0]
 
     def to_kernel(self) -> AdditiveKernel:
-        return make_kernel(self.family, self.variances, self.lengthscales, self.composition)
+        return AdditiveKernel(self.family, self.variances, self.lengthscales, self.composition)
 
     @classmethod
     def from_vector(cls, x, d: int, family: str = "gaussian", composition: str = "additive") -> HyperParams:
@@ -148,8 +140,7 @@ class HyperBounds:
     def box(self, d: int, composition: str = "additive") -> list[tuple[float, float]]:
         """(lower, upper) per entry of the optimization vector that :meth:`HyperParams.from_vector`
         reads: the d variances (one for tensor), the d lengthscales, then tau^2."""
-        if composition not in ("additive", "tensor"):
-            raise ValueError(f"unknown composition {composition!r}")
+        _check_names(composition=composition)
         n_var = d if composition == "additive" else 1
         return [self.variance] * n_var + [self.lengthscale] * d + [self.noise]
 
@@ -309,6 +300,8 @@ def optimize_local(
     (never worse than the start).
     """
     lower, upper = np.array(bounds, dtype=float).T
+    if np.isnan([lower, upper]).any():  # None reads as NaN here; an absent bound is +-inf
+        raise ValueError(f"every bound must be a number, got {bounds}")
     n_calls = 0
     best = {"x": None, "f": np.inf}
 
@@ -365,14 +358,6 @@ class EstimationTrace:
         for r in self.records:
             out[r.iteration] = r.noise
         return out
-
-    def to_csv(self, path_or_buf, run_id="run") -> None:
-        write_traces(path_or_buf, {run_id: self})
-
-    def to_csv_string(self, run_id="run") -> str:
-        buf = io.StringIO()
-        self.to_csv(buf, run_id=run_id)
-        return buf.getvalue()
 
 
 def write_traces(path_or_buf, traces: dict[str, EstimationTrace]) -> None:

@@ -306,9 +306,7 @@ def _predict(gp: FittedGP, x, with_var: bool):
     single, pts = _query_points(x, gp.kernel.dims)
     mean = np.empty(len(pts))
     var = np.empty(len(pts)) if with_var else None
-    # Stationary kernels: the prior variance k(x, x) is the same at every point.
-    variances = [c.variance for c in gp.kernel.components]
-    prior = sum(variances) if gp.kernel.is_additive else math.prod(variances)
+    prior = gp.kernel.prior_variance
     for blk in _blocks(len(pts)):
         k = cross_cov(gp.kernel, pts[blk], gp.dataset.X)
         mean[blk] = gp.y_mean + k @ gp.weights
@@ -359,7 +357,8 @@ def _direction_pass(gp: FittedGP, direction: int, x_i, centered: bool):
         raise ValueError("query points must be finite")
     xi = np.atleast_1d(x_i)
     spec = gp.kernel.components[direction]
-    kernel, Xd = AdditiveKernel((spec,)), gp.dataset.X[:, [direction]]
+    kernel = AdditiveKernel(spec.family, spec.variance, spec.lengthscale)
+    Xd = gp.dataset.X[:, [direction]]
     out = np.empty((4 if centered else 2, len(xi)))
     if centered:
         I_i = np.asarray(integral_univariate(spec, Xd[:, 0]))  # int K_i(x_j, s) ds

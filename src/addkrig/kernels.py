@@ -6,15 +6,14 @@ Matern 3/2, each parameterized by a variance sigma^2 and a lengthscale theta:
     gaussian:  k(x, y) = sigma^2 * exp(-(x - y)^2 / (2 theta^2))
     matern32:  k(x, y) = sigma^2 * (1 + sqrt(3)|x - y|/theta) * exp(-sqrt(3)|x - y|/theta)
 
-A d-dimensional kernel is either the sum of d univariate kernels (additive
-composition, the main object of this package) or their product with the
-per-direction variances multiplied (tensor composition, kept as a classical
-kriging baseline).
+A d-dimensional kernel is one family with d variances and d lengthscales,
+composed either as the sum of the d univariate kernels (additive composition,
+the main object of this package) or as their product with the per-direction
+variances multiplied (tensor composition, kept as a classical kriging
+baseline).
 
 The module also provides the analytic integrals of a univariate kernel over
-[0, 1] needed by the centered-effect variance formulas, and the element-wise
-partial derivatives of covariance matrices, against which the likelihood
-gradient is tested.
+[0, 1] needed by the centered-effect variance formulas.
 """
 
 from __future__ import annotations
@@ -29,10 +28,9 @@ from scipy.special import erf
 __all__ = [
     "UnivariateKernel",
     "AdditiveKernel",
-    "eval_kernel",
+    "make_kernel",
     "cov_matrix",
     "cross_cov",
-    "grad_cov_matrix",
     "integral_univariate",
     "double_integral_univariate",
     "kernel_to_json",
@@ -40,7 +38,16 @@ __all__ = [
 ]
 
 _FAMILIES = ("gaussian", "matern32")
+_COMPOSITIONS = ("additive", "tensor")
 _SQRT3 = math.sqrt(3.0)
+
+
+def _check_names(family: str = "gaussian", composition: str = "additive") -> None:
+    """Reject an unknown kernel family or composition name."""
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown kernel family {family!r}")
+    if composition not in _COMPOSITIONS:
+        raise ValueError(f"unknown composition {composition!r}")
 
 
 def _check_params(family: str, variance: float, lengthscale: float) -> None:
@@ -95,21 +102,10 @@ class UnivariateKernel:
     def __post_init__(self):
         _check_params(self.family, self.variance, self.lengthscale)
 
-    def corr(self, x, y, out=None):
-        """Unit-variance correlation r(x, y); broadcasts over arrays.  With ``out``, a pair of
-        float arrays of the broadcast shape, |x - y| and then r(x, y) are written into out[0],
-        and out[1] is scratch."""
-        if out is None:
-            r = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-        else:
-            r = np.abs(np.subtract(x, y, out=out[0]), out=out[0])
-        return _corr(self.family, r, self.lengthscale, out=out)
-
-    def corr_dtheta(self, x, y):
-        """Element-wise derivative of corr(x, y) w.r.t. the lengthscale."""
+    def corr(self, x, y):
+        """Unit-variance correlation r(x, y); broadcasts over arrays."""
         r = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-        R, q = _corr(self.family, r, self.lengthscale, dlog=True)
-        return R * q
+        return _corr(self.family, r, self.lengthscale)
 
     def __call__(self, x, y):
         return self.variance * self.corr(x, y)
@@ -117,45 +113,52 @@ class UnivariateKernel:
 
 @dataclass(frozen=True)
 class AdditiveKernel:
-    """Ordered collection of univariate kernels over d input dimensions.
+    """d univariate kernels of one family: a variance and a lengthscale array of length d.
 
     ``composition`` selects how the univariate pieces combine:
 
-    - "additive": K(x, y) = sum_i K_i(x_i, y_i)
+    - "additive": K(x, y) = sum_i sigma_i^2 r_i(x_i, y_i)
     - "tensor":   K(x, y) = (prod_i sigma_i^2) * prod_i r_i(x_i, y_i)
     """
 
-    components: tuple[UnivariateKernel, ...]
+    family: str
+    variances: np.ndarray
+    lengthscales: np.ndarray
     composition: str = "additive"
 
     def __post_init__(self):
-        if self.composition not in ("additive", "tensor"):
-            raise ValueError(f"unknown composition {self.composition!r}")
-        if len(self.components) == 0:
-            raise ValueError("kernel needs at least one component")
-        object.__setattr__(self, "components", tuple(self.components))
+        _check_names(self.family, self.composition)
+        v, t = (np.array(a, dtype=float, ndmin=1) for a in (self.variances, self.lengthscales))
+        if v.ndim != 1 or v.shape != t.shape or not len(v):
+            raise ValueError(f"need equal non-empty 1-d variances and lengthscales, got {v.shape}, {t.shape}")
+        for pair in zip(v.tolist(), t.tolist()):
+            _check_params(self.family, *pair)
+        for name, a in (("variances", v), ("lengthscales", t)):
+            a.flags.writeable = False  # checked once, so never changed afterwards
+            object.__setattr__(self, name, a)
 
     @property
     def dims(self) -> int:
-        return len(self.components)
+        return len(self.variances)
 
     @property
     def is_additive(self) -> bool:
         return self.composition == "additive"
 
-    def __call__(self, x, y):
-        return eval_kernel(self, x, y)
+    @property
+    def prior_variance(self) -> float:
+        """k(x, x), the same at every x: the sum (additive) or product (tensor) of the variances."""
+        v = self.variances.tolist()
+        return sum(v) if self.is_additive else math.prod(v)
+
+    @property
+    def components(self) -> tuple[UnivariateKernel, ...]:
+        """Each direction's kernel on its own, as the integrals take it."""
+        return tuple(UnivariateKernel(self.family, v, t)
+                     for v, t in zip(self.variances.tolist(), self.lengthscales.tolist()))
 
 
-def eval_kernel(kernel: AdditiveKernel, x, y) -> float:
-    """Evaluate the composed kernel at a pair of d-vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (kernel.dims,) or y.shape != (kernel.dims,):
-        raise ValueError(f"expected {kernel.dims}-vectors, got shapes {x.shape} and {y.shape}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("kernel inputs must be finite")
-    return float(cross_cov(kernel, x[None, :], y[None, :])[0, 0])
+make_kernel = AdditiveKernel  # the constructor under its function-style name
 
 
 # Cells per chunk of rows in cross_cov: one chunk's distance and scratch buffers stay in cache
@@ -170,27 +173,21 @@ def cross_cov(kernel: AdditiveKernel, X, Y) -> np.ndarray:
     if X.shape[1] != kernel.dims or Y.shape[1] != kernel.dims:
         raise ValueError("design dimension does not match kernel dims")
     m, n = len(X), len(Y)
-    if kernel.is_additive:
-        out = np.zeros((m, n))
-    else:
-        out = np.full((m, n), _total_variance(kernel))
+    out = np.zeros((m, n)) if kernel.is_additive else np.full((m, n), kernel.prior_variance)
     rows = max(1, _CHUNK // max(n, 1))
     buf = np.empty((2, min(rows, m), n))
     for lo in range(0, m, rows):
         chunk = out[lo:lo + rows]
         R, scratch = buf[:, :len(chunk)]
-        for i, k in enumerate(kernel.components):
-            k.corr(X[lo:lo + rows, i, None], Y[None, :, i], out=(R, scratch))
+        for i, (v, t) in enumerate(zip(kernel.variances.tolist(), kernel.lengthscales.tolist())):
+            np.abs(np.subtract(X[lo:lo + rows, i, None], Y[None, :, i], out=R), out=R)
+            _corr(kernel.family, R, t, out=(R, scratch))
             if kernel.is_additive:
-                R *= k.variance
+                R *= v
                 chunk += R
             else:
                 chunk *= R
     return out
-
-
-def _total_variance(kernel: AdditiveKernel) -> float:
-    return float(np.prod([k.variance for k in kernel.components]))
 
 
 def cov_matrix(kernel: AdditiveKernel, X, noise: float = 0.0) -> np.ndarray:
@@ -206,44 +203,6 @@ def cov_matrix(kernel: AdditiveKernel, X, noise: float = 0.0) -> np.ndarray:
     if noise:
         K[np.diag_indices_from(K)] += noise
     return K
-
-
-def grad_cov_matrix(kernel: AdditiveKernel, X, noise: float, param_id: str) -> np.ndarray:
-    """Element-wise partial derivative of ``cov_matrix`` w.r.t. one parameter.
-
-    ``param_id`` is one of ``"variance_i"``, ``"lengthscale_i"`` (zero-based
-    direction index i) or ``"noise"``.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
-    if param_id == "noise":
-        return np.eye(n)
-    try:
-        name, idx_s = param_id.rsplit("_", 1)
-        idx = int(idx_s)
-        spec = kernel.components[idx]
-    except (ValueError, IndexError):
-        raise ValueError(f"unknown param_id {param_id!r}") from None
-    if name not in ("variance", "lengthscale"):
-        raise ValueError(f"unknown param_id {param_id!r}")
-
-    xi = X[:, idx]
-    if kernel.is_additive:
-        if name == "variance":
-            return spec.corr(xi[:, None], xi[None, :])
-        return spec.variance * spec.corr_dtheta(xi[:, None], xi[None, :])
-
-    # Tensor composition: K = (prod_j sigma_j^2) * hadamard_j r_j.
-    rest = np.ones((n, n))
-    var_rest = 1.0
-    for j, k in enumerate(kernel.components):
-        if j == idx:
-            continue
-        rest *= k.corr(X[:, j, None], X[None, :, j])
-        var_rest *= k.variance
-    if name == "variance":
-        return var_rest * rest * spec.corr(xi[:, None], xi[None, :])
-    return var_rest * spec.variance * rest * spec.corr_dtheta(xi[:, None], xi[None, :])
 
 
 def integral_univariate(spec: UnivariateKernel, x) -> float | np.ndarray:
@@ -294,14 +253,12 @@ def double_integral_univariate(spec: UnivariateKernel) -> float:
 
 def kernel_to_json(kernel: AdditiveKernel) -> dict:
     """JSON-serializable description: {family, dims, composition, variance, range}."""
-    fams = {k.family for k in kernel.components}
-    family = fams.pop() if len(fams) == 1 else [k.family for k in kernel.components]
     return {
-        "family": family,
+        "family": kernel.family,
         "dims": kernel.dims,
         "composition": kernel.composition,
-        "variance": [k.variance for k in kernel.components],
-        "range": [k.lengthscale for k in kernel.components],
+        "variance": kernel.variances.tolist(),
+        "range": kernel.lengthscales.tolist(),
     }
 
 
@@ -312,27 +269,7 @@ def kernel_from_json(obj) -> AdditiveKernel:
     if not isinstance(obj, dict):
         raise ValueError("kernel description must be a JSON object")
     d = int(obj["dims"])
-    fam = obj["family"]
-    cols = (fam if isinstance(fam, list) else [fam] * d, obj["variance"], obj["range"])
+    cols = obj["variance"], obj["range"]
     if not all(isinstance(c, list) and len(c) == d for c in cols):
-        raise ValueError(f"kernel family, variance and range need {d} entries each")
-    comps = tuple(UnivariateKernel(f, float(v), float(t)) for f, v, t in zip(*cols))
-    return AdditiveKernel(comps, obj.get("composition", "additive"))
-
-
-def make_kernel(
-    family: str,
-    variances,
-    lengthscales,
-    composition: str = "additive",
-) -> AdditiveKernel:
-    """Convenience constructor from per-direction parameter arrays."""
-    variances = np.atleast_1d(np.asarray(variances, dtype=float))
-    lengthscales = np.atleast_1d(np.asarray(lengthscales, dtype=float))
-    if variances.shape != lengthscales.shape:
-        raise ValueError("variances and lengthscales must have the same length")
-    comps = tuple(
-        UnivariateKernel(family, float(v), float(t))
-        for v, t in zip(variances, lengthscales)
-    )
-    return AdditiveKernel(comps, composition)
+        raise ValueError(f"kernel variance and range need {d} entries each")
+    return AdditiveKernel(obj["family"], *cols, obj.get("composition", "additive"))

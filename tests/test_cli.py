@@ -354,6 +354,15 @@ MALFORMED_INPUTS = {
         "fit", "--data", str(d), "--config", _write(t / "c.json", '{"iterations": 1.7}')],
     "bool-seed": lambda t, d: ["fit", "--data", str(d), "--config", _write(t / "c.json", '{"seed": true}')],
     "fractional-n-paths": lambda t, d: ["bench", "paths", "--config", _write(t / "c.json", '{"n_paths": 1.5}')],
+    "fractional-dims": lambda t, d: ["bench", "paths", "--config", _write(t / "c.json", '{"dims": [2.5]}')],
+    "bool-dims": lambda t, d: ["bench", "paths", "--config", _write(t / "c.json", '{"dims": [2, true]}')],
+    "bool-true-variance": lambda t, d: [
+        "bench", "paths", "--config", _write(t / "c.json", '{"true_variance": true}')],
+    "huge-true-variance": lambda t, d: [
+        "bench", "paths", "--config", _write(t / "c.json", '{"true_variance": 1%s}' % ("0" * 400))],
+    "bool-a": lambda t, d: ["bench", "gfunction", "--config", _write(t / "c.json", '{"a": [true, 0.5]}')],
+    "list-family": lambda t, d: [
+        "effects", "--model", _model_file(t, _kernel_edit(family=["gaussian", "gaussian"]))],
 }
 
 
@@ -372,6 +381,17 @@ def test_integral_float_runs_and_is_echoed_as_an_integer(tmp_path):
     echo = json.loads((out / "config_echo.json").read_text())
     assert echo["grid_size"] == 3 and isinstance(echo["grid_size"], int)
     assert len((out / "effects.csv").read_text().splitlines()) == 1 + 3
+
+
+def test_integral_float_dims_run_and_are_echoed_as_integers(tmp_path):
+    out = tmp_path / "b"
+    cfg = ('{"dims": [3.0], "n_paths": 1, "points_per_dim": 3, "lhs_steps": 5, "rlm_iterations": 1, '
+           '"ulm_max_evals": 30, "rlm_max_evals_inner": 10}')
+    assert main(["bench", "paths", "--out", str(out), "--config", _write(tmp_path / "c.json", cfg)]) == EXIT_OK
+    echo = json.loads((out / "config_echo.json").read_text())
+    assert echo["dims"] == [3] and isinstance(echo["dims"][0], int)
+    rows = list(csv.DictReader((out / "report.csv").read_text().splitlines()))
+    assert rows and all(r["d"] == "3" for r in rows)
 
 
 def test_ulm_on_full_factorial_grid_is_refit(tmp_path):

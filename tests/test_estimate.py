@@ -1,4 +1,5 @@
 import importlib.util
+import io
 import math
 from pathlib import Path
 
@@ -21,11 +22,13 @@ from addkrig import (
     nll_gradient,
     optimize_local,
 )
+import addkrig
 from addkrig import _lbfgsb, bench, estimate, kernels
 from addkrig.bench import lhs_maximin, sample_gp_path
-from addkrig.estimate import _Likelihood, nll_value_and_grad
+from addkrig.estimate import _Likelihood, nll_value_and_grad, write_traces
 from addkrig.gp import fit_gp
-from addkrig.kernels import _corr, cov_matrix, grad_cov_matrix
+from addkrig.kernels import _corr, cov_matrix
+from kernel_oracle import grad_cov_matrix
 
 
 def dense_nll(params, dataset):
@@ -159,7 +162,7 @@ class TestValueAndGrad:
 
 
 def oracle_gradient(params, dataset):
-    """<K^-1, G> - alpha^T G alpha with each G = dK/dp from kernels.grad_cov_matrix."""
+    """<K^-1, G> - alpha^T G alpha with each G = dK/dp from the test oracle grad_cov_matrix."""
     kernel = params.to_kernel()
     K = cov_matrix(kernel, dataset.X, params.noise)
     factor = cho_factor(K, lower=True)
@@ -196,11 +199,12 @@ class TestLikelihoodEngine:
         def refuse(*args, **kwargs):
             raise AssertionError("kernel assembly on the objective path")
 
-        for name in ("cov_matrix", "grad_cov_matrix", "cross_cov", "make_kernel"):
+        for name in ("cov_matrix", "cross_cov", "make_kernel"):
             monkeypatch.setattr(kernels, name, refuse)
             monkeypatch.setattr(estimate, name, refuse, raising=False)
-        for name in ("__post_init__", "corr", "corr_dtheta"):
+        for name in ("__post_init__", "corr"):
             monkeypatch.setattr(kernels.UnivariateKernel, name, refuse)
+        monkeypatch.setattr(kernels.AdditiveKernel, "__post_init__", refuse)
         res = run(random_dataset(12, 3, 30))
         assert res.trace.total_calls > 0
         assert np.isfinite(res.best_value)
@@ -470,15 +474,20 @@ class TestTracerContract:
         assert estimate.cholesky is dpotrf
         assert estimate.minimize is _lbfgsb.minimize
 
-    def test_benchmark_tracer_sees_one_lbfgsb_span_per_inner_run(self):
-        # perfbench/tracer.py, loaded as the benchmark loads it, on a tiny paths study: a missing
-        # estimate.minimize would crash install(), and a second wrapper around the L-BFGS-B loop would
-        # show as an estimate.minimize span holding all of estimate.lbfgsb's time.
+    @staticmethod
+    def benchmark_tracer():
+        """perfbench/tracer.py's Tracer, loaded as the benchmark loads it."""
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
         spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        tracer = module.Tracer()
+        return module.Tracer()
+
+    def test_benchmark_tracer_sees_one_lbfgsb_span_per_inner_run(self):
+        # On a tiny paths study: a missing estimate.minimize would crash install(), and a second
+        # wrapper around the L-BFGS-B loop would show as an estimate.minimize span holding all of
+        # estimate.lbfgsb's time.
+        tracer = self.benchmark_tracer()
         tracer.install()
         try:
             report = bench.run_paths_benchmark(bench.PathsBenchConfig(
@@ -490,6 +499,22 @@ class TestTracerContract:
         assert spans["estimate.lbfgsb"]["calls"] == sum(len(t.records) for t in report.traces.values())
         assert spans["estimate.cholesky"]["calls"] == sum(r.n_calls_total for r in report.records)
         assert "estimate.minimize" not in spans
+
+    def test_benchmark_tracer_counts_m_n_d_cross_cov_cells(self):
+        # The surrogate workload's kernels.cross_cov.cells: the tracer reads m * n * d off each
+        # call's (kernel, X, Y) arguments and kernel.dims, so blocked prediction must add up to it.
+        ds = random_dataset(10, 3, 58)
+        model = fit_gp(make_kernel("matern32", [1.0, 0.5, 2.0], [0.3, 0.4, 0.5]), ds, 1e-3)
+        m = 1207  # three prediction blocks
+        tracer = self.benchmark_tracer()
+        tracer.install()
+        try:
+            var = addkrig.predict_var(model, np.random.default_rng(59).uniform(size=(m, 3)))
+        finally:
+            tracer.uninstall()
+        assert var.shape == (m,)
+        row = tracer.summary()["kernels.cross_cov"]
+        assert row["calls"] == 3 and row["cells"] == m * ds.n * 3
 
     def test_one_call_through_cholesky_per_objective_call(self, monkeypatch):
         ds = random_dataset(9, 3, 57)
@@ -584,6 +609,21 @@ class TestOptimizeLocal:
             optimize_local(vg, bounds, start)
         with pytest.raises(ValueError):
             scipy_optimize_local(vg, bounds, start)
+        assert not calls
+
+    @pytest.mark.parametrize("bounds", [
+        [(None, 1.0)], [(0.0, None)], [(math.nan, 1.0)], [(0.0, 1.0), (0.0, math.nan)],
+    ], ids=["none-lower", "none-upper", "nan-lower", "nan-upper"])
+    def test_none_or_nan_bound_raises_before_any_call(self, bounds):
+        # An absent bound is +-inf; None or NaN used to reach the objective as a NaN start.
+        calls = []
+
+        def vg(x):
+            calls.append(1)
+            return float(x @ x), 2.0 * x
+
+        with pytest.raises(ValueError, match="bound"):
+            optimize_local(vg, bounds, [0.5] * len(bounds))
         assert not calls
 
     @pytest.mark.parametrize("bounds, start", [
@@ -919,8 +959,9 @@ class TestHelpers:
     def test_trace_csv(self):
         ds = random_dataset(8, 1, 19)
         res = estimate_rlm(ds, n_iterations=1)
-        text = res.trace.to_csv_string(run_id="abc")
-        lines = text.strip().splitlines()
+        buf = io.StringIO()
+        write_traces(buf, {"abc": res.trace})
+        lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "run_id,iteration,direction,n_calls_cum,best_value,tau2"
         assert lines[1].startswith("abc,1,1,")
         cums = [int(l.split(",")[3]) for l in lines[1:]]

