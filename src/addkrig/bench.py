@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GFunctionSpec:
     """Coefficients a_k of the Sobol g-function; larger a_k means direction k matters less."""
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import bench as bench_mod
 from .bench import GFunctionBenchConfig, PathsBenchConfig
 from .estimate import additivity_ratio, default_bounds, estimate_rlm, estimate_ulm, write_traces
-from .gp import CholeskyFailure, Dataset, FittedGP, _direction_pass, _predict, fit_gp
+from .gp import CholeskyFailure, Dataset, FittedGP, _pass, fit_gp
 from .kernels import _COMPOSITIONS, _FAMILIES
 
 EXIT_OK = 0
@@ -51,9 +51,15 @@ def _load_config_file(path):
     return cfg
 
 
-def _resolve(args, defaults: dict) -> dict:
-    """Config-file values merged under explicit flags; flags win."""
-    cfg = {**defaults, **_load_config_file(args.config)}
+def _resolve(args, defaults: dict, study_fields=()) -> dict:
+    """Config-file values merged under explicit flags; flags win.  A config-file key that is
+    neither one of the command's settings nor a study field is an error, not ignored."""
+    cfg = _load_config_file(args.config)
+    unknown = sorted(set(cfg) - set(defaults) - set(study_fields))
+    if unknown:
+        raise InputError(f"unknown config key(s) {', '.join(map(repr, unknown))}; "
+                         f"known: {', '.join(sorted({*defaults, *study_fields}))}")
+    cfg = {**defaults, **cfg}
     for key in defaults:
         val = getattr(args, key, None)
         if val is not None:
@@ -159,7 +165,7 @@ def cmd_predict(args) -> int:
     pts = _load_points(cfg["points"], model.dataset.d)
     out = _out_dir(cfg)
     _echo_config(out, cfg)
-    means, variances = _predict(model, pts, with_var=True)
+    means, variances = _pass(model, pts, 2)
     with open(out / "predictions.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["mean", "variance"])
@@ -214,7 +220,7 @@ def cmd_effects(args) -> int:
     out = _out_dir(cfg)
     _echo_config(out, cfg)
     grid = np.linspace(0.0, 1.0, grid_size)
-    m, v, m_star, v_star = _direction_pass(model, direction, grid, centered=True)
+    m, v, m_star, v_star = _pass(model, grid, 4, direction)
     with open(out / "effects.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x", "m", "v", "m_star", "v_star"])
@@ -224,12 +230,10 @@ def cmd_effects(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _resolve(args, {"experiment": None, "seed": 0, "out": "out"})
     experiments = {"gfunction": (GFunctionBenchConfig, bench_mod.run_gfunction_benchmark),
                    "paths": (PathsBenchConfig, bench_mod.run_paths_benchmark)}
-    if cfg["experiment"] not in experiments:
-        raise InputError("bench experiment must be 'gfunction' or 'paths'")
-    config_cls, run = experiments[cfg["experiment"]]
+    config_cls, run = experiments[args.experiment]  # argparse has checked the name
+    cfg = _resolve(args, {"experiment": None, "seed": 0, "out": "out"}, config_cls.__dataclass_fields__)
     if "master_seed" in cfg and args.seed is None:  # the studies' own name for the seed
         cfg["seed"] = cfg["master_seed"]
     cfg.pop("master_seed", None)

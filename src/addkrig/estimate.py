@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +60,7 @@ __all__ = [
 _SENTINEL = 1e12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HyperParams:
     """Per-direction (variance, lengthscale) pairs plus the noise variance tau^2."""
 
@@ -274,7 +273,7 @@ def nll_gradient(params: HyperParams, dataset: Dataset) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptResult:
     x: np.ndarray
     value: float
@@ -360,10 +359,9 @@ class EstimationTrace:
         return out
 
 
-def write_traces(path_or_buf, traces: dict[str, EstimationTrace]) -> None:
-    """CSV of ``{run_id: trace}``: one row per inner run, calls accumulated per run."""
-    is_path = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-    with open(path_or_buf, "w", newline="") if is_path else nullcontext(path_or_buf) as fh:
+def write_traces(path, traces: dict[str, EstimationTrace]) -> None:
+    """CSV file of ``{run_id: trace}``: one row per inner run, calls accumulated per run."""
+    with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["run_id", "iteration", "direction", "n_calls_cum", "best_value", "tau2"])
         for run_id, trace in traces.items():
@@ -373,7 +371,7 @@ def write_traces(path_or_buf, traces: dict[str, EstimationTrace]) -> None:
                 w.writerow([run_id, r.iteration, r.direction, total, repr(float(r.best_value)), repr(float(r.noise))])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimationResult:
     params: HyperParams
     trace: EstimationTrace

@@ -27,6 +27,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .kernels import (
     AdditiveKernel,
+    _json_floats,
     cov_matrix,
     cross_cov,
     double_integral_univariate,
@@ -55,7 +56,7 @@ MODEL_SCHEMA_VERSION = 1
 _VAR_CLAMP = -1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Design matrix X (n x d, unit-hypercube coordinates) and responses Y."""
 
@@ -111,7 +112,7 @@ class Dataset:
         return cls(data[:, :-1], data[:, -1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegeneracyReport:
     """Rank diagnosis of a design covariance matrix.
 
@@ -150,22 +151,19 @@ class CholeskyFailure(Exception):
         self.report = report
 
 
-def detect_degenerate_design(
-    kernel: AdditiveKernel, X, tol: float | None = None
-) -> DegeneracyReport:
+def detect_degenerate_design(kernel: AdditiveKernel, X) -> DegeneracyReport:
     """Diagnose rank deficiency of cov_matrix(kernel, X, 0) via pivoted Cholesky."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     K = cov_matrix(kernel, X, 0.0)
     n = K.shape[0]
-    if tol is None:
-        # A diagnosis, not a decision: looser than _check_pivots, so every
-        # covariance that fit_gp refuses gets a non-empty report.
-        tol = 1e-8 * np.trace(K) / n
+    # A diagnosis, not a decision: looser than _check_pivots, so every
+    # covariance that fit_gp refuses gets a non-empty report.
+    tol = 1e-8 * np.trace(K) / n
     # Rank-revealing Cholesky in natural row order: a column whose residual
     # diagonal falls below tol is a dependent point; earlier points are
     # preferred as pivots so the diagnosis names the redundant late arrival.
     pivots: list[int] = []
-    dependents_l: list[int] = []
+    dependents: list[int] = []
     L_rows: list[np.ndarray] = []
     for j in range(n):
         w = np.empty(len(pivots))
@@ -176,20 +174,13 @@ def detect_degenerate_design(
             pivots.append(j)
             L_rows.append(np.append(w, math.sqrt(r2)))
         else:
-            dependents_l.append(j)
-    rank = len(pivots)
-    pivots = tuple(pivots)
-    dependents = tuple(dependents_l)
-    coeffs = []
-    if dependents:
-        block = K[np.ix_(pivots, pivots)]
-        for j in dependents:
-            c, *_ = np.linalg.lstsq(block, K[list(pivots), j], rcond=None)
-            coeffs.append(c)
-    return DegeneracyReport(int(rank), pivots, dependents, tuple(coeffs))
+            dependents.append(j)
+    block = K[np.ix_(pivots, pivots)]
+    coeffs = tuple(np.linalg.lstsq(block, K[pivots, j], rcond=None)[0] for j in dependents)
+    return DegeneracyReport(len(pivots), tuple(pivots), tuple(dependents), coeffs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FittedGP:
     """Kernel + noise + data + lower Cholesky factor and precomputed weights."""
 
@@ -220,19 +211,14 @@ class FittedGP:
             fh.write("\n")
 
     @classmethod
-    def from_json(cls, obj) -> "FittedGP":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
+    def from_json(cls, obj: dict) -> "FittedGP":
         if not isinstance(obj, dict):
             raise ValueError("model must be a JSON object")
         if obj.get("schema_version") != MODEL_SCHEMA_VERSION:
             raise ValueError(f"unsupported model schema_version {obj.get('schema_version')!r}")
-        try:
-            kernel, noise = kernel_from_json(obj["kernel"]), float(obj["noise"])
-        except TypeError as exc:  # a null or a list where a number belongs
-            raise ValueError(f"malformed model: {exc}") from None
-        ds = Dataset(np.asarray(obj["x"], dtype=float), np.asarray(obj["y"], dtype=float))
-        return fit_gp(kernel, ds, noise)
+        kernel = kernel_from_json(obj["kernel"])
+        noise, x, y = (_json_floats(obj[key], key, ndim) for key, ndim in (("noise", 0), ("x", 2), ("y", 1)))
+        return fit_gp(kernel, Dataset(x, y), float(noise))
 
     @classmethod
     def load(cls, path) -> "FittedGP":
@@ -275,15 +261,24 @@ def _check_pivots(L: np.ndarray, trace: float) -> None:
         raise np.linalg.LinAlgError("covariance matrix is numerically singular")
 
 
-def _query_points(x, d: int) -> tuple[bool, np.ndarray]:
-    """(whether x is one point, m x d batch); rejects non-finite or d-mismatched points."""
+def _query_points(gp: FittedGP, x, direction: int | None) -> tuple[bool, np.ndarray]:
+    """(whether x is one point, m x dims batch): points of the model's d coordinates or, with
+    ``direction``, a scalar or 1-d array of that direction's coordinate."""
     x = np.asarray(x, dtype=float)
+    d = gp.kernel.dims
+    if direction is not None and not gp.kernel.is_additive:
+        raise ValueError("sub-models are only defined for additive composition")
+    if direction is not None and not 0 <= direction < d:
+        raise ValueError("direction index out of range")
     if not np.all(np.isfinite(x)):
         raise ValueError("query points must be finite")
-    pts = np.atleast_2d(x)
-    if pts.ndim != 2 or pts.shape[1] != d:
+    if direction is not None:
+        if x.ndim > 1:
+            raise ValueError(f"query points have shape {x.shape}, a direction takes a scalar or a 1-d array")
+        return x.ndim == 0, x.reshape(-1, 1)
+    if x.ndim > 2 or np.atleast_2d(x).shape[1] != d:
         raise ValueError(f"query points have shape {x.shape}, model expects dimension {d}")
-    return x.ndim == 1, pts
+    return x.ndim == 1, np.atleast_2d(x)
 
 
 # Query rows per cross-covariance block: prediction and effects hold O(_BLOCK * n)
@@ -300,38 +295,44 @@ def _blocks(m: int):
     return (slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [m]))
 
 
-def _predict(gp: FittedGP, x, with_var: bool):
-    """(mean, variance or None) at one point or a batch, one cross_cov per block of
-    query rows; the triangular solve runs only when the variance is wanted."""
-    single, pts = _query_points(x, gp.kernel.dims)
-    mean = np.empty(len(pts))
-    var = np.empty(len(pts)) if with_var else None
-    prior = gp.kernel.prior_variance
+def _pass(gp: FittedGP, x, rows: int, direction: int | None = None) -> tuple:
+    """The first ``rows`` of (mean, variance, centered mean, centered variance) at one point
+    (floats) or a batch (arrays).
+
+    With ``direction`` these are that direction's sub-model (m_i, v_i) and centered effect
+    (m_i*, v_i*): the kriging formulas again, with the direction's kernel on its column of the
+    design.  Each block of query rows takes one cross-covariance; the triangular solve runs
+    only when rows >= 2, the closed-form kernel integrals only when rows == 4."""
+    single, pts = _query_points(gp, x, direction)
+    kernel, X, offset = gp.kernel, gp.dataset.X, gp.y_mean
+    if direction is not None:
+        spec = kernel.components[direction]
+        kernel = AdditiveKernel(spec.family, spec.variance, spec.lengthscale)
+        X, offset = X[:, [direction]], offset / gp.kernel.dims
+    if rows == 4:
+        I_i = integral_univariate(spec, X[:, 0])  # int K_i(x_j, s) ds
+        Kinv_I = cho_solve((gp.factor, True), I_i, check_finite=False)
+        single_int, double_int = integral_univariate(spec, pts[:, 0]), double_integral_univariate(spec)
+    out = np.empty((rows, len(pts)))
     for blk in _blocks(len(pts)):
-        k = cross_cov(gp.kernel, pts[blk], gp.dataset.X)
-        mean[blk] = gp.y_mean + k @ gp.weights
-        if with_var:
+        k = cross_cov(kernel, pts[blk], X)
+        out[0, blk] = offset + k @ gp.weights
+        if rows >= 2:
             v = solve_triangular(gp.factor, k.T, lower=True, check_finite=False)
-            var[blk] = prior - np.sum(v * v, axis=0)
-    if with_var:
-        var = _clamp_var(var)
-    if single:
-        return float(mean[0]), None if var is None else float(var[0])
-    return mean, var
+            out[1, blk] = _clamp_var(kernel.prior_variance - np.sum(v * v, axis=0))
+        if rows == 4:
+            out[2, blk] = (k - I_i) @ gp.weights
+            out[3, blk] = _clamp_var(
+                out[1, blk]
+                - 2.0 * single_int[blk]
+                + 2.0 * (k @ Kinv_I)
+                + double_int
+                - I_i @ Kinv_I
+            )
+    return tuple(float(row[0]) for row in out) if single else tuple(out)
 
 
-def predict_mean(gp: FittedGP, x) -> float | np.ndarray:
-    """Kriging mean at one point (d-vector) or a batch of points (m x d)."""
-    return _predict(gp, x, with_var=False)[0]
-
-
-def predict_var(gp: FittedGP, x) -> float | np.ndarray:
-    """Kriging variance at one point or a batch; clamped at zero for round-off."""
-    return _predict(gp, x, with_var=True)[1]
-
-
-def _clamp_var(v):
-    v = np.asarray(v, dtype=float)
+def _clamp_var(v: np.ndarray) -> np.ndarray:
     if np.any(v < _VAR_CLAMP):
         raise ArithmeticError(
             f"variance {v.min():.3e} below round-off window; factorization is inconsistent"
@@ -339,56 +340,24 @@ def _clamp_var(v):
     return np.maximum(v, 0.0)
 
 
-def _require_additive(gp: FittedGP) -> None:
-    if not gp.kernel.is_additive:
-        raise ValueError("sub-models are only defined for additive composition")
+def predict_mean(gp: FittedGP, x) -> float | np.ndarray:
+    """Kriging mean at one point (d-vector) or a batch of points (m x d)."""
+    return _pass(gp, x, 1)[0]
 
 
-def _direction_pass(gp: FittedGP, direction: int, x_i, centered: bool):
-    """Sub-model (m_i, v_i) of one direction at the points x_i (scalar or 1-d array) and,
-    with ``centered``, the centered effect (m_i*, v_i*) too: one cross-covariance with the
-    design and one triangular solve per block of points.  Returns a tuple of 2 or 4 floats
-    (scalar x_i) or arrays."""
-    _require_additive(gp)
-    if not 0 <= direction < gp.kernel.dims:
-        raise ValueError("direction index out of range")
-    x_i = np.asarray(x_i, dtype=float)
-    if not np.all(np.isfinite(x_i)):
-        raise ValueError("query points must be finite")
-    xi = np.atleast_1d(x_i)
-    spec = gp.kernel.components[direction]
-    kernel = AdditiveKernel(spec.family, spec.variance, spec.lengthscale)
-    Xd = gp.dataset.X[:, [direction]]
-    out = np.empty((4 if centered else 2, len(xi)))
-    if centered:
-        I_i = np.asarray(integral_univariate(spec, Xd[:, 0]))  # int K_i(x_j, s) ds
-        Kinv_I = cho_solve((gp.factor, True), I_i, check_finite=False)
-        single_int = np.asarray(integral_univariate(spec, xi))
-        double_int = double_integral_univariate(spec)
-    for blk in _blocks(len(xi)):
-        k_i = cross_cov(kernel, xi[blk, None], Xd)
-        v = solve_triangular(gp.factor, k_i.T, lower=True, check_finite=False)
-        out[0, blk] = gp.y_mean / gp.kernel.dims + k_i @ gp.weights
-        out[1, blk] = v_i = _clamp_var(spec.variance - np.sum(v * v, axis=0))
-        if centered:
-            out[2, blk] = (k_i - I_i) @ gp.weights
-            out[3, blk] = _clamp_var(
-                v_i
-                - 2.0 * single_int[blk]
-                + 2.0 * (k_i @ Kinv_I)
-                + double_int
-                - I_i @ Kinv_I
-            )
-    return tuple(float(row[0]) for row in out) if x_i.ndim == 0 else tuple(out)
+def predict_var(gp: FittedGP, x) -> float | np.ndarray:
+    """Kriging variance at one point or a batch; clamped at zero for round-off."""
+    return _pass(gp, x, 2)[1]
 
 
 def sub_model(gp: FittedGP, direction: int, x_i):
-    """Univariate sub-model (m_i, v_i) of direction ``direction`` (zero-based).
+    """Univariate sub-model (m_i, v_i) of direction ``direction`` (zero-based) at x_i, a scalar
+    or a 1-d array.
 
     The constant trend is split evenly across directions so that the
     sub-model means sum exactly to the full predictor mean.
     """
-    return _direction_pass(gp, direction, x_i, centered=False)
+    return _pass(gp, x_i, 2, direction)
 
 
 def centered_effect(gp: FittedGP, direction: int, x_i):
@@ -398,4 +367,4 @@ def centered_effect(gp: FittedGP, direction: int, x_i):
     Z_i(x) - int Z_i given the observations, assembled from the closed-form
     kernel integrals.
     """
-    return _direction_pass(gp, direction, x_i, centered=True)[2:]
+    return _pass(gp, x_i, 4, direction)[2:]

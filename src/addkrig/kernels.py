@@ -18,7 +18,6 @@ The module also provides the analytic integrals of a univariate kernel over
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -111,7 +110,7 @@ class UnivariateKernel:
         return self.variance * self.corr(x, y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdditiveKernel:
     """d univariate kernels of one family: a variance and a lengthscale array of length d.
 
@@ -262,14 +261,21 @@ def kernel_to_json(kernel: AdditiveKernel) -> dict:
     }
 
 
-def kernel_from_json(obj) -> AdditiveKernel:
-    """Inverse of :func:`kernel_to_json`; accepts a dict or a JSON string."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+def _json_floats(value, name: str, ndim: int) -> np.ndarray:
+    """A JSON number (ndim 0), list of numbers (1) or list of rows of numbers (2) as a float
+    array.  A string, bool or null where a number belongs is an error: float() would parse it."""
+    arr = np.array(value, dtype=object)
+    if arr.ndim != ndim or not all(type(v) in (int, float) for v in arr.flat):
+        raise ValueError(f"{name} must be {('a number', 'a list of numbers', 'a list of rows of numbers')[ndim]}")
+    return arr.astype(float)
+
+
+def kernel_from_json(obj: dict) -> AdditiveKernel:
+    """Inverse of :func:`kernel_to_json`."""
     if not isinstance(obj, dict):
         raise ValueError("kernel description must be a JSON object")
-    d = int(obj["dims"])
-    cols = obj["variance"], obj["range"]
-    if not all(isinstance(c, list) and len(c) == d for c in cols):
-        raise ValueError(f"kernel variance and range need {d} entries each")
+    d = obj["dims"]
+    cols = [_json_floats(obj[key], key, 1) for key in ("variance", "range")]
+    if not (type(d) is int and all(len(c) == d for c in cols)):
+        raise ValueError(f"kernel variance and range need dims = {d!r} entries each")
     return AdditiveKernel(obj["family"], *cols, obj.get("composition", "additive"))

@@ -363,6 +363,17 @@ MALFORMED_INPUTS = {
     "bool-a": lambda t, d: ["bench", "gfunction", "--config", _write(t / "c.json", '{"a": [true, 0.5]}')],
     "list-family": lambda t, d: [
         "effects", "--model", _model_file(t, _kernel_edit(family=["gaussian", "gaussian"]))],
+    "fit-misspelled-key": lambda t, d: [
+        "fit", "--data", str(d), "--config", _write(t / "c.json", '{"iteratons": 1, "kernal": "matern32"}')],
+    "bench-misspelled-key": lambda t, d: ["bench", "paths", "--config", _write(t / "c.json", '{"n_path": 1}')],
+    "effects-unknown-key": lambda t, d: [
+        "effects", "--model", _model_file(t, lambda o: o), "--config", _write(t / "c.json", '{"grid": 5}')],
+    "string-variance": lambda t, d: ["effects", "--model", _model_file(t, _kernel_edit(variance=["1.0", "0.5"]))],
+    "bool-range": lambda t, d: ["effects", "--model", _model_file(t, _kernel_edit(range=[0.4, True]))],
+    "string-noise": lambda t, d: ["effects", "--model", _model_file(t, lambda o: {**o, "noise": "0.5"})],
+    "bool-noise": lambda t, d: ["effects", "--model", _model_file(t, lambda o: {**o, "noise": True})],
+    "string-x": lambda t, d: [
+        "effects", "--model", _model_file(t, lambda o: {**o, "x": [[str(v) for v in r] for r in o["x"]]})],
 }
 
 

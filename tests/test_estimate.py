@@ -1,5 +1,4 @@
 import importlib.util
-import io
 import math
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from addkrig import (
     optimize_local,
 )
 import addkrig
-from addkrig import _lbfgsb, bench, estimate, kernels
+from addkrig import _lbfgsb, bench, cli, estimate, kernels
 from addkrig.bench import lhs_maximin, sample_gp_path
 from addkrig.estimate import _Likelihood, nll_value_and_grad, write_traces
 from addkrig.gp import fit_gp
@@ -500,21 +499,36 @@ class TestTracerContract:
         assert spans["estimate.cholesky"]["calls"] == sum(r.n_calls_total for r in report.records)
         assert "estimate.minimize" not in spans
 
-    def test_benchmark_tracer_counts_m_n_d_cross_cov_cells(self):
+    def test_benchmark_tracer_counts_m_n_d_cross_cov_cells(self, tmp_path):
         # The surrogate workload's kernels.cross_cov.cells: the tracer reads m * n * d off each
-        # call's (kernel, X, Y) arguments and kernel.dims, so blocked prediction must add up to it.
+        # call's (kernel, X, Y) arguments and kernel.dims, so every blocked query pass must add
+        # up to it: one cross_cov per block of rows, with dims = 1 for a direction's pass.
         ds = random_dataset(10, 3, 58)
         model = fit_gp(make_kernel("matern32", [1.0, 0.5, 2.0], [0.3, 0.4, 0.5]), ds, 1e-3)
-        m = 1207  # three prediction blocks
-        tracer = self.benchmark_tracer()
-        tracer.install()
-        try:
-            var = addkrig.predict_var(model, np.random.default_rng(59).uniform(size=(m, 3)))
-        finally:
-            tracer.uninstall()
-        assert var.shape == (m,)
-        row = tracer.summary()["kernels.cross_cov"]
-        assert row["calls"] == 3 and row["cells"] == m * ds.n * 3
+        m = 1207  # three blocks
+        pts, grid = np.random.default_rng(59).uniform(size=(m, 3)), np.linspace(0.0, 1.0, m)
+        model.save(tmp_path / "model.json")
+        np.savetxt(tmp_path / "points.csv", pts, delimiter=",")
+        model_arg = ["--model", str(tmp_path / "model.json")]
+        runs = {  # name: (query pass, dims of its kernel)
+            "predict_var": (lambda: addkrig.predict_var(model, pts), 3),
+            "sub_model": (lambda: addkrig.sub_model(model, 1, grid), 1),
+            "centered_effect": (lambda: addkrig.centered_effect(model, 2, grid), 1),
+            "cli predict": (lambda: cli.main(["predict", *model_arg, "--points", str(tmp_path / "points.csv"),
+                                              "--out", str(tmp_path / "p")]), 3),
+            "cli effects": (lambda: cli.main(["effects", *model_arg, "--direction", "2", "--grid-size",
+                                              str(m), "--out", str(tmp_path / "e")]), 1),
+        }
+        for name, (run, dims) in runs.items():
+            tracer = self.benchmark_tracer()
+            tracer.install()
+            try:
+                out = run()
+            finally:
+                tracer.uninstall()
+            assert not name.startswith("cli") or out == 0, name
+            row = tracer.summary()["kernels.cross_cov"]
+            assert (row["calls"], row["cells"]) == (3, m * ds.n * dims), name
 
     def test_one_call_through_cholesky_per_objective_call(self, monkeypatch):
         ds = random_dataset(9, 3, 57)
@@ -956,12 +970,11 @@ class TestHelpers:
         hb = HyperBounds((0.0, 0.0), (1e-3, 1e-3), (0.0, 0.0))
         assert hb.box(2) == [(0.0, 0.0)] * 2 + [(1e-3, 1e-3)] * 2 + [(0.0, 0.0)]
 
-    def test_trace_csv(self):
+    def test_trace_csv(self, tmp_path):
         ds = random_dataset(8, 1, 19)
         res = estimate_rlm(ds, n_iterations=1)
-        buf = io.StringIO()
-        write_traces(buf, {"abc": res.trace})
-        lines = buf.getvalue().strip().splitlines()
+        write_traces(tmp_path / "trace.csv", {"abc": res.trace})
+        lines = (tmp_path / "trace.csv").read_text().strip().splitlines()
         assert lines[0] == "run_id,iteration,direction,n_calls_cum,best_value,tau2"
         assert lines[1].startswith("abc,1,1,")
         cums = [int(l.split(",")[3]) for l in lines[1:]]

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -16,8 +17,8 @@ from addkrig import (
     predict_var,
     sub_model,
 )
-from addkrig.bench import lhs_maximin
-from addkrig.estimate import estimate_rlm
+from addkrig.bench import GFunctionSpec, lhs_maximin
+from addkrig.estimate import HyperParams, estimate_rlm, optimize_local
 from addkrig.gp import _BLOCK as BLOCK
 from addkrig.kernels import cross_cov, double_integral_univariate, integral_univariate
 
@@ -201,6 +202,28 @@ class TestSubModels:
         for direction in (-1, 2):
             with pytest.raises(ValueError, match="direction index out of range"):
                 fn(gp, direction, 0.5)
+
+    @pytest.mark.parametrize("fn", [sub_model, centered_effect])
+    def test_two_dimensional_points_rejected_with_expected_shape(self, fn):
+        rng = np.random.default_rng(17)
+        ds = Dataset(rng.uniform(size=(5, 2)), rng.standard_normal(5))
+        gp = fit_gp(make_kernel("gaussian", [1.0, 0.5], [0.4, 0.6]), ds, 1e-3)
+        for x_i in (np.full((3, 1), 0.5), np.full((1, 3), 0.5), np.full((2, 2), 0.5)):
+            with pytest.raises(ValueError, match=r"shape \(\d, \d\), a direction takes a scalar or a 1-d array"):
+                fn(gp, 0, x_i)
+
+    @pytest.mark.parametrize("fn", [sub_model, centered_effect])
+    def test_scalar_gives_floats_and_array_gives_arrays(self, fn):
+        rng = np.random.default_rng(18)
+        ds = Dataset(rng.uniform(size=(5, 2)), rng.standard_normal(5))
+        gp = fit_gp(make_kernel("matern32", [1.0, 0.5], [0.4, 0.6]), ds, 1e-3)
+        grid = np.array([0.1, 0.5, 0.9])
+        batch = fn(gp, 1, grid)
+        assert len(batch) == 2 and all(isinstance(a, np.ndarray) and a.shape == (3,) for a in batch)
+        for j, x in enumerate(grid):
+            one = fn(gp, 1, x)
+            assert len(one) == 2 and all(type(a) is float for a in one)
+            assert one == pytest.approx((batch[0][j], batch[1][j]), rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("fn", [sub_model, centered_effect])
     @pytest.mark.parametrize("x_i", [[np.nan, 0.5], [np.inf]])
@@ -451,3 +474,25 @@ class TestScaleSweep:
             assert np.all(predict_var(model, pts) >= 0.0)
         for i in range(2):
             assert np.all(centered_effect(model, i, np.linspace(0.0, 1.0, 101))[1] >= 0.0)
+
+
+# The frozen dataclasses with array fields compare by identity: field-wise == would ask an
+# array for its truth value, and the generated __hash__ would hash an array.
+ARRAY_DATACLASSES = {
+    "HyperParams": lambda: HyperParams([1.0, 0.5], [0.3, 0.4], 0.1),
+    "AdditiveKernel": gauss2,
+    "FittedGP": lambda: fit_gp(gauss2(), Dataset(RECT3, [1.0, 2.0, -0.5]), 1e-6),
+    "Dataset": lambda: Dataset(RECT3, [1.0, 2.0, -0.5]),
+    "GFunctionSpec": lambda: GFunctionSpec([1.0, 2.0]),
+    "OptResult": lambda: optimize_local(lambda x: (float(x @ x), 2.0 * x), [(-1.0, 1.0)] * 2, [0.5, 0.5]),
+    "EstimationResult": lambda: estimate_rlm(Dataset(RECT3, [1.0, 2.0, -0.5]), n_iterations=1),
+    "DegeneracyReport": lambda: detect_degenerate_design(gauss2(), RECT4),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_DATACLASSES.values(), ids=ARRAY_DATACLASSES.keys())
+def test_array_dataclasses_compare_by_identity_and_hash(make):
+    x = make()
+    assert x == x
+    assert x != copy.copy(x)
+    assert hash(x) == hash(x)
