@@ -18,22 +18,13 @@ is derived from (master seed, run id).
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import cholesky
 
-from .estimate import (
-    EstimationResult,
-    HyperBounds,
-    additivity_ratio,
-    default_bounds,
-    estimate_rlm,
-    estimate_ulm,
-)
-from .gp import Dataset, fit_gp, predict_mean
+from .estimate import default_bounds, estimate_rlm, estimate_ulm
+from .gp import Dataset, _write_csv, _write_json, fit_gp, predict_mean
 from .kernels import AdditiveKernel, _check_names, _check_params, cov_matrix, make_kernel
 
 __all__ = [
@@ -257,21 +248,10 @@ class BenchmarkReport:
         return out
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                ["run_id", "method", "d", "seed", "q2", "tau2_final", "n_calls_total", "l_final"]
-            )
-            for r in self.records:
-                w.writerow(
-                    [r.run_id, r.method, r.d, r.seed, repr(float(r.q2)), repr(float(r.tau2_final)),
-                     r.n_calls_total, repr(float(r.l_final))]
-                )
+        _write_csv(path, [f.name for f in fields(RunRecord)], map(astuple, self.records))
 
     def save_summary(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, self.summary())
 
 
 # ---------------------------------------------------------------------------
@@ -332,17 +312,32 @@ class PathsBenchConfig:
                       lhs_steps=0, ulm_max_evals=1, rlm_max_evals_inner=1)
 
 
-def _run_method(method, dataset, family, bounds, cfg) -> EstimationResult:
+def _run(report, run_id, method, dataset, bounds, cfg, seed, score=None) -> None:
+    """Estimate ``method``'s hyperparameters on ``dataset`` with its responses centered and
+    record the run in ``report``, or record its failure.  ``score`` is a test sample (X, y):
+    the refit model's Q2 on it is recorded, and NaN without one."""
     centered = Dataset(dataset.X, dataset.Y - np.mean(dataset.Y))
-    if method == "rlm-additive":
-        return estimate_rlm(
-            centered, family=family, bounds=bounds,
-            n_iterations=cfg.rlm_iterations, max_evals_inner=cfg.rlm_max_evals_inner,
-        )
-    return estimate_ulm(  # "ulm-additive" or "ulm-tensor"
-        centered, family=family, composition=method.removeprefix("ulm-"),
-        bounds=bounds, max_evals=cfg.ulm_max_evals,
-    )
+    try:
+        if method == "rlm-additive":
+            result = estimate_rlm(
+                centered, family=cfg.family, bounds=bounds,
+                n_iterations=cfg.rlm_iterations, max_evals_inner=cfg.rlm_max_evals_inner,
+            )
+        else:  # "ulm-additive" or "ulm-tensor"
+            result = estimate_ulm(
+                centered, family=cfg.family, composition=method.removeprefix("ulm-"),
+                bounds=bounds, max_evals=cfg.ulm_max_evals,
+            )
+        value = float("nan")
+        if score is not None:
+            model = fit_gp(result.params.to_kernel(), dataset, result.params.noise)
+            value = q2(score[1], predict_mean(model, score[0]))
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+        report.failures.append(f"{run_id}: {exc}")
+        return
+    report.records.append(RunRecord(run_id, method, dataset.d, seed, value, result.params.noise,
+                                    result.trace.total_calls, result.best_value))
+    report.traces[run_id] = result.trace
 
 
 def run_gfunction_benchmark(config: GFunctionBenchConfig = GFunctionBenchConfig()) -> BenchmarkReport:
@@ -361,19 +356,7 @@ def run_gfunction_benchmark(config: GFunctionBenchConfig = GFunctionBenchConfig(
         dataset = Dataset(X, g_function(X, spec))
         bounds = default_bounds(dataset)
         for method in config.methods:
-            run_id = f"g{run:03d}-{method}"
-            try:
-                result = _run_method(method, dataset, config.family, bounds, config)
-                model = fit_gp(result.params.to_kernel(), dataset, result.params.noise)
-                score = q2(y_test, predict_mean(model, X_test))
-            except (np.linalg.LinAlgError, ArithmeticError) as exc:
-                report.failures.append(f"{run_id}: {exc}")
-                continue
-            report.records.append(
-                RunRecord(run_id, method, d, seed, score, result.params.noise,
-                          result.trace.total_calls, result.best_value)
-            )
-            report.traces[run_id] = result.trace
+            _run(report, f"g{run:03d}-{method}", method, dataset, bounds, config, seed, (X_test, y_test))
     return report
 
 
@@ -395,15 +378,5 @@ def run_paths_benchmark(config: PathsBenchConfig = PathsBenchConfig()) -> Benchm
                 report.failures.append(f"d{d}-p{path:03d}: {exc}")
                 continue
             for method in ("ulm-additive", "rlm-additive"):
-                run_id = f"d{d}-p{path:03d}-{method}"
-                try:
-                    result = _run_method(method, dataset, config.family, bounds, config)
-                except (np.linalg.LinAlgError, ArithmeticError) as exc:
-                    report.failures.append(f"{run_id}: {exc}")
-                    continue
-                report.records.append(
-                    RunRecord(run_id, method, d, seed, float("nan"), result.params.noise,
-                              result.trace.total_calls, result.best_value)
-                )
-                report.traces[run_id] = result.trace
+                _run(report, f"d{d}-p{path:03d}-{method}", method, dataset, bounds, config, seed)
     return report

@@ -12,7 +12,6 @@ benchmark failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -22,7 +21,7 @@ import numpy as np
 from . import bench as bench_mod
 from .bench import GFunctionBenchConfig, PathsBenchConfig
 from .estimate import additivity_ratio, default_bounds, estimate_rlm, estimate_ulm, write_traces
-from .gp import CholeskyFailure, Dataset, FittedGP, _pass, fit_gp
+from .gp import CholeskyFailure, Dataset, FittedGP, _pass, _read_csv, _write_csv, _write_json, fit_gp
 from .kernels import _COMPOSITIONS, _FAMILIES
 
 EXIT_OK = 0
@@ -30,8 +29,21 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_PARTIAL = 4
 
+# Each command's settings and their defaults: each is a flag (--grid-size for grid_size) and a
+# config-file key, and a setting whose default is an int takes integers.
+_SETTINGS = {
+    "fit": {"data": None, "kernel": "gaussian", "composition": "additive", "method": "rlm",
+            "iterations": 5, "seed": 0, "out": "out"},
+    "predict": {"model": None, "points": None, "out": "out"},
+    "effects": {"model": None, "direction": 1, "grid_size": 101, "out": "out"},
+    "bench": {"seed": 0, "out": "out"},
+}
+
 # Allowed values of the fit settings that are names, for flags and config files alike.
 _FIT_CHOICES = {"kernel": _FAMILIES, "composition": _COMPOSITIONS, "method": ("rlm", "ulm")}
+
+_STUDIES = {"gfunction": (GFunctionBenchConfig, bench_mod.run_gfunction_benchmark),
+            "paths": (PathsBenchConfig, bench_mod.run_paths_benchmark)}
 
 
 class InputError(Exception):
@@ -51,19 +63,22 @@ def _load_config_file(path):
     return cfg
 
 
-def _resolve(args, defaults: dict, study_fields=()) -> dict:
-    """Config-file values merged under explicit flags; flags win.  A config-file key that is
-    neither one of the command's settings nor a study field is an error, not ignored."""
+def _resolve(args, study_fields=()) -> dict:
+    """The command's settings: defaults, then config-file values, then explicit flags, with
+    every int setting checked to be an integer.  A config-file key that is neither one of the
+    command's settings nor a study field is an error, not ignored."""
+    settings = _SETTINGS[args.command]
     cfg = _load_config_file(args.config)
-    unknown = sorted(set(cfg) - set(defaults) - set(study_fields))
+    unknown = sorted(set(cfg) - set(settings) - set(study_fields))
     if unknown:
         raise InputError(f"unknown config key(s) {', '.join(map(repr, unknown))}; "
-                         f"known: {', '.join(sorted({*defaults, *study_fields}))}")
-    cfg = {**defaults, **cfg}
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+                         f"known: {', '.join(sorted({*settings, *study_fields}))}")
+    cfg = {**settings, **cfg}
+    for key, default in settings.items():
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+        if isinstance(default, int):
+            _typed(cfg, key)
     return cfg
 
 
@@ -91,13 +106,8 @@ def _typed(cfg: dict, key: str, like=0):
         raise InputError(f"{key} must be {want}, got {val!r}") from None
 
 
-def _echo_config(out_dir: Path, cfg: dict) -> None:
-    with open(out_dir / "config_echo.json", "w") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-
-
 def _out_dir(cfg) -> Path:
+    """The output directory, made if need be, with the echo of ``cfg`` written into it."""
     if not isinstance(cfg["out"], str):
         raise InputError(f"out must be a directory path, got {cfg['out']!r}")
     out = Path(cfg["out"])
@@ -105,23 +115,20 @@ def _out_dir(cfg) -> Path:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file in the way, or no permission
         raise InputError(f"cannot make output directory {out}: {exc}") from None
+    _write_json(out / "config_echo.json", cfg)
     return out
 
 
 def cmd_fit(args) -> int:
-    cfg = _resolve(args, {
-        "data": None, "kernel": "gaussian", "composition": "additive",
-        "method": "rlm", "iterations": 5, "seed": 0, "out": "out",
-    })
+    cfg = _resolve(args)
     if cfg["data"] is None:
         raise InputError("fit requires --data")
-    iterations, seed = _typed(cfg, "iterations"), _typed(cfg, "seed")
     for key, allowed in _FIT_CHOICES.items():
         if cfg[key] not in allowed:
             raise InputError(f"{key} must be one of {', '.join(allowed)}, got {cfg[key]!r}")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
-    if cfg["method"] == "rlm" and iterations < 1:
+    if cfg["seed"] < 0:
+        raise InputError(f"seed must be >= 0, got {cfg['seed']}")
+    if cfg["method"] == "rlm" and cfg["iterations"] < 1:
         raise InputError("rlm needs at least one iteration")
     if cfg["method"] == "rlm" and cfg["composition"] != "additive":
         raise InputError("rlm only applies to additive kernels")
@@ -130,7 +137,6 @@ def cmd_fit(args) -> int:
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot load {cfg['data']}: {exc}") from None
     out = _out_dir(cfg)
-    _echo_config(out, cfg)
 
     centered = Dataset(dataset.X, dataset.Y - np.mean(dataset.Y))
     try:
@@ -139,17 +145,12 @@ def cmd_fit(args) -> int:
         raise InputError(str(exc)) from None
     if cfg["method"] == "rlm":
         result = estimate_rlm(centered, family=cfg["kernel"], bounds=bounds,
-                              n_iterations=iterations)
+                              n_iterations=cfg["iterations"])
     else:
         result = estimate_ulm(centered, family=cfg["kernel"],
                               composition=cfg["composition"], bounds=bounds,
-                              seed=seed)
-    try:
-        model = fit_gp(result.params.to_kernel(), dataset, result.params.noise)
-    except CholeskyFailure as exc:
-        print(exc.report.describe(), file=sys.stderr)
-        return EXIT_NUMERIC
-    model.save(out / "model.json")
+                              seed=cfg["seed"])
+    fit_gp(result.params.to_kernel(), dataset, result.params.noise).save(out / "model.json")
     write_traces(out / "trace.csv", {"fit": result.trace})
     print(f"final l: {result.best_value:.6g}")
     print(f"tau2: {result.params.noise:.6g}")
@@ -158,19 +159,12 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg = _resolve(args, {"model": None, "points": None, "out": "out"})
+    cfg = _resolve(args)
     if cfg["model"] is None or cfg["points"] is None:
         raise InputError("predict requires --model and --points")
     model = _load_model(cfg["model"])
     pts = _load_points(cfg["points"], model.dataset.d)
-    out = _out_dir(cfg)
-    _echo_config(out, cfg)
-    means, variances = _pass(model, pts, 2)
-    with open(out / "predictions.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["mean", "variance"])
-        for m, v in zip(means, variances):
-            w.writerow([repr(float(m)), repr(float(v))])
+    _write_csv(_out_dir(cfg) / "predictions.csv", ["mean", "variance"], zip(*_pass(model, pts, 2)))
     return EXIT_OK
 
 
@@ -183,10 +177,7 @@ def _load_model(path) -> FittedGP:
 
 def _load_points(path, d) -> np.ndarray:
     try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        start = 1 if rows and not _is_float_row(rows[0]) else 0
-        pts = np.array([[float(v) for v in r] for r in rows[start:] if r], dtype=float)
+        _, pts = _read_csv(path)
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read points file {path}: {exc}") from None
     if pts.ndim != 2 or pts.shape[1] != d:
@@ -196,54 +187,36 @@ def _load_points(path, d) -> np.ndarray:
     return pts
 
 
-def _is_float_row(row) -> bool:
-    try:
-        [float(v) for v in row]
-        return True
-    except ValueError:
-        return False
-
-
 def cmd_effects(args) -> int:
-    cfg = _resolve(args, {"model": None, "direction": 1, "grid_size": 101, "out": "out"})
+    cfg = _resolve(args)
     if cfg["model"] is None:
         raise InputError("effects requires --model")
     model = _load_model(cfg["model"])
     if not model.kernel.is_additive:
         raise InputError("effects require an additive model")
-    direction = _typed(cfg, "direction") - 1  # CLI is 1-based like the x1..xd headers
+    direction = cfg["direction"] - 1  # CLI is 1-based like the x1..xd headers
     if not 0 <= direction < model.dataset.d:
         raise InputError(f"direction must be in 1..{model.dataset.d}")
-    grid_size = _typed(cfg, "grid_size")
-    if grid_size < 1:
+    if cfg["grid_size"] < 1:
         raise InputError("grid size must be at least 1")
-    out = _out_dir(cfg)
-    _echo_config(out, cfg)
-    grid = np.linspace(0.0, 1.0, grid_size)
-    m, v, m_star, v_star = _pass(model, grid, 4, direction)
-    with open(out / "effects.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "m", "v", "m_star", "v_star"])
-        for row in zip(grid, m, v, m_star, v_star):
-            w.writerow([repr(float(val)) for val in row])
+    grid = np.linspace(0.0, 1.0, cfg["grid_size"])
+    _write_csv(_out_dir(cfg) / "effects.csv", ["x", "m", "v", "m_star", "v_star"],
+               zip(grid, *_pass(model, grid, 4, direction)))
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    experiments = {"gfunction": (GFunctionBenchConfig, bench_mod.run_gfunction_benchmark),
-                   "paths": (PathsBenchConfig, bench_mod.run_paths_benchmark)}
-    config_cls, run = experiments[args.experiment]  # argparse has checked the name
-    cfg = _resolve(args, {"experiment": None, "seed": 0, "out": "out"}, config_cls.__dataclass_fields__)
+    config_cls, run = _STUDIES[args.experiment]  # argparse has checked the name
+    cfg = _resolve(args, config_cls.__dataclass_fields__)
     if "master_seed" in cfg and args.seed is None:  # the studies' own name for the seed
-        cfg["seed"] = cfg["master_seed"]
+        cfg["seed"] = _typed(cfg, "master_seed")
     cfg.pop("master_seed", None)
-    seed = _typed(cfg, "seed")
     try:
-        config = config_cls(**_study_options(config_cls, cfg), master_seed=seed)
+        config = config_cls(**_study_options(config_cls, cfg), master_seed=cfg["seed"])
     except ValueError as exc:  # a study field of the right type but out of range
         raise InputError(str(exc)) from None
+    cfg["experiment"] = args.experiment
     out = _out_dir(cfg)
-    _echo_config(out, cfg)
     report = run(config)
     report.to_csv(out / "report.csv")
     report.save_summary(out / "summary.json")
@@ -262,38 +235,22 @@ def _study_options(config_cls, cfg: dict) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="addkrig", description="Additive kriging toolkit")
     sub = p.add_subparsers(dest="command", required=True)
-
-    fit = sub.add_parser("fit", help="estimate hyperparameters and persist a model")
-    fit.add_argument("--data", help="CSV with header x1,...,xd,y")
-    for key, allowed in _FIT_CHOICES.items():
-        fit.add_argument(f"--{key}", choices=allowed)
-    fit.add_argument("--iterations", type=int)
-    fit.add_argument("--seed", type=int)
-    fit.add_argument("--out")
-    fit.add_argument("--config")
-    fit.set_defaults(func=cmd_fit)
-
-    pred = sub.add_parser("predict", help="kriging mean/variance at query points")
-    pred.add_argument("--model")
-    pred.add_argument("--points")
-    pred.add_argument("--out")
-    pred.add_argument("--config")
-    pred.set_defaults(func=cmd_predict)
-
-    eff = sub.add_parser("effects", help="univariate sub-model and centered effect on a grid")
-    eff.add_argument("--model")
-    eff.add_argument("--direction", type=int, help="1-based direction index")
-    eff.add_argument("--grid-size", dest="grid_size", type=int)
-    eff.add_argument("--out")
-    eff.add_argument("--config")
-    eff.set_defaults(func=cmd_effects)
-
-    bn = sub.add_parser("bench", help="run a benchmark experiment")
-    bn.add_argument("experiment", choices=["gfunction", "paths"])
-    bn.add_argument("--seed", type=int)
-    bn.add_argument("--out")
-    bn.add_argument("--config")
-    bn.set_defaults(func=cmd_bench)
+    commands = {
+        "fit": ("estimate hyperparameters and persist a model", cmd_fit),
+        "predict": ("kriging mean/variance at query points", cmd_predict),
+        "effects": ("univariate sub-model and centered effect on a grid", cmd_effects),
+        "bench": ("run a benchmark experiment", cmd_bench),
+    }
+    helps = {"data": "CSV with header x1,...,xd,y", "direction": "1-based direction index"}
+    for command, (text, func) in commands.items():
+        cmd = sub.add_parser(command, help=text)
+        if command == "bench":
+            cmd.add_argument("experiment", choices=list(_STUDIES))
+        for key, default in _SETTINGS[command].items():
+            cmd.add_argument(f"--{key.replace('_', '-')}", type=int if isinstance(default, int) else None,
+                             choices=_FIT_CHOICES.get(key), help=helps.get(key))
+        cmd.add_argument("--config")
+        cmd.set_defaults(func=func)
     return p
 
 

@@ -25,7 +25,6 @@ benchmark module.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -36,7 +35,7 @@ from scipy.linalg.lapack import dpotrf as cholesky
 from scipy.linalg.lapack import dpotri, dpotrs
 
 from ._lbfgsb import minimize  # bound by name, like cholesky, so the tracer times each run
-from .gp import Dataset, _check_pivots
+from .gp import Dataset, _check_pivots, _write_csv
 from .kernels import AdditiveKernel, _check_names, _check_params, _corr
 
 __all__ = [
@@ -361,14 +360,14 @@ class EstimationTrace:
 
 def write_traces(path, traces: dict[str, EstimationTrace]) -> None:
     """CSV file of ``{run_id: trace}``: one row per inner run, calls accumulated per run."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["run_id", "iteration", "direction", "n_calls_cum", "best_value", "tau2"])
+    def rows():
         for run_id, trace in traces.items():
             total = 0
             for r in trace.records:
                 total += r.n_calls
-                w.writerow([run_id, r.iteration, r.direction, total, repr(float(r.best_value)), repr(float(r.noise))])
+                yield run_id, r.iteration, r.direction, total, r.best_value, r.noise
+
+    _write_csv(path, ["run_id", "iteration", "direction", "n_calls_cum", "best_value", "tau2"], rows())
 
 
 @dataclass(frozen=True, eq=False)

@@ -88,28 +88,53 @@ class Dataset:
         return self.X.shape[1]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"x{i + 1}" for i in range(self.d)] + ["y"])
-            for row, y in zip(self.X, self.Y):
-                w.writerow([repr(float(v)) for v in row] + [repr(float(y))])
+        _write_csv(path, [f"x{i + 1}" for i in range(self.d)] + ["y"], np.column_stack([self.X, self.Y]))
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows:
-            raise ValueError(f"empty CSV file {path}")
-        header = [h.strip().lower() for h in rows[0]]
-        if header[-1] != "y" or any(not h.startswith("x") for h in header[:-1]):
+        header, data = _read_csv(path)
+        header = [h.strip().lower() for h in header]
+        if not header or header[-1] != "y" or any(not h.startswith("x") for h in header[:-1]):
             raise ValueError("expected header x1,...,xd,y")
-        body = [r for r in rows[1:] if r]
-        if not body:
+        if not len(data):
             raise ValueError(f"no data rows in {path}")
-        if any(len(r) != len(header) for r in body):
+        if data.shape[1] != len(header):
             raise ValueError("row width does not match header")
-        data = np.array([[float(v) for v in r] for r in body], dtype=float)
         return cls(data[:, :-1], data[:, -1])
+
+
+def _read_csv(path) -> tuple[list[str], np.ndarray]:
+    """(header, rows) of a CSV file of numbers, blank lines skipped: the first row is the header
+    unless it reads as numbers (then the header is []), and the rows are one float array.
+    ValueError for an entry that is not a number or rows of unequal width."""
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r]
+    header = []
+    if rows:
+        try:
+            [float(v) for v in rows[0]]
+        except ValueError:
+            header = rows.pop(0)
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError("rows of unequal width")
+    return header, np.array([[float(v) for v in r] for r in rows], dtype=float)
+
+
+def _write_csv(path, header, rows) -> None:
+    """CSV file of a header and rows: a float (numpy's too) is written as repr(float(v)), which
+    reads back bit for bit, and anything else, such as an int or a str, as it is."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+                    for row in rows)
+
+
+def _write_json(path, obj) -> None:
+    """JSON file with sorted keys, an indent of 2 and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,9 +231,7 @@ class FittedGP:
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, self.to_json())
 
     @classmethod
     def from_json(cls, obj: dict) -> "FittedGP":
@@ -226,14 +249,11 @@ class FittedGP:
             return cls.from_json(json.load(fh))
 
 
-def fit_gp(
-    kernel: AdditiveKernel, dataset: Dataset, noise: float = 0.0, center: bool = True
-) -> FittedGP:
+def fit_gp(kernel: AdditiveKernel, dataset: Dataset, noise: float = 0.0) -> FittedGP:
     """Factorize the design covariance and precompute the kriging weights.
 
-    With ``center=True`` (default) the empirical mean of Y is subtracted
-    before solving and added back at prediction; ``center=False`` treats the
-    responses as observations of an already-centered process.
+    The empirical mean of Y is subtracted before solving and added back at
+    prediction.
 
     Never adds jitter on its own: a singular covariance raises
     :class:`CholeskyFailure` carrying the :class:`DegeneracyReport`, and the
@@ -247,7 +267,7 @@ def fit_gp(
         _check_pivots(L, np.trace(K))
     except np.linalg.LinAlgError:
         raise CholeskyFailure(detect_degenerate_design(kernel, dataset.X)) from None
-    y_mean = float(np.mean(dataset.Y)) if center else 0.0
+    y_mean = float(np.mean(dataset.Y))
     alpha = cho_solve((L, True), dataset.Y - y_mean)
     return FittedGP(kernel, float(noise), dataset, L, alpha, y_mean)
 

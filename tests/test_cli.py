@@ -1,13 +1,16 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from addkrig import Dataset, FittedGP, centered_effect, make_kernel, sub_model
+from test_gp import RECT4, gauss2
+
+from addkrig import Dataset, FittedGP, centered_effect, fit_gp, make_kernel, sub_model
 from addkrig import gp as gp_mod
-from addkrig.cli import EXIT_INPUT, EXIT_OK, main
+from addkrig.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from addkrig.gp import _BLOCK as BLOCK
 from addkrig.kernels import cross_cov
 
@@ -366,6 +369,8 @@ MALFORMED_INPUTS = {
     "fit-misspelled-key": lambda t, d: [
         "fit", "--data", str(d), "--config", _write(t / "c.json", '{"iteratons": 1, "kernal": "matern32"}')],
     "bench-misspelled-key": lambda t, d: ["bench", "paths", "--config", _write(t / "c.json", '{"n_path": 1}')],
+    "bench-experiment-key": lambda t, d: [
+        "bench", "paths", "--config", _write(t / "c.json", '{"experiment": "gfunction", "n_paths": 0}')],
     "effects-unknown-key": lambda t, d: [
         "effects", "--model", _model_file(t, lambda o: o), "--config", _write(t / "c.json", '{"grid": 5}')],
     "string-variance": lambda t, d: ["effects", "--model", _model_file(t, _kernel_edit(variance=["1.0", "0.5"]))],
@@ -419,3 +424,60 @@ def test_ulm_on_full_factorial_grid_is_refit(tmp_path):
     points = _write(tmp_path / "p.csv", "0.3,0.6\n0.9,0.1\n")
     assert main(["predict", "--model", model, "--points", points, "--out", str(tmp_path / "p")]) == EXIT_OK
     assert main(["effects", "--model", model, "--out", str(tmp_path / "e")]) == EXIT_OK
+
+
+def test_singular_model_is_a_numerical_failure(tmp_path, capsys):
+    # Without noise the RECT4 design's covariance is singular, so loading the model fails in
+    # fit_gp; main reports the diagnosis and exits 3 instead of raising.
+    obj = fit_gp(gauss2(), Dataset(RECT4, [1.0, 2.0, -0.5, 0.5]), 1e-2).to_json()
+    model = _write(tmp_path / "model.json", json.dumps({**obj, "noise": 0.0}))
+    points = _write(tmp_path / "p.csv", "0.5,0.5\n")
+    for argv in (["predict", "--points", points], ["effects"]):
+        assert main([*argv, "--model", model, "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "design covariance has rank 3" in err and "Traceback" not in err
+
+
+# (command, setting, value): the flag --<setting> and the config key <setting> set the same value.
+FLAG_AND_KEY = [("fit", "iterations", 1), ("fit", "kernel", "matern32"), ("effects", "grid_size", 7),
+                ("effects", "direction", 2), ("bench", "seed", 3)]
+SMALL_PATHS = {"dims": [2], "n_paths": 1, "points_per_dim": 5, "lhs_steps": 50, "rlm_iterations": 1,
+               "ulm_max_evals": 50, "rlm_max_evals_inner": 20}
+
+
+@pytest.mark.parametrize("command, key, value", FLAG_AND_KEY)
+def test_flag_and_config_key_give_the_same_run(command, key, value, tmp_path, data_csv, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    base = {"fit": ["fit", "--data", str(data_csv), "--method", "rlm"],
+            "effects": ["effects", "--model", _model_file(tmp_path, lambda o: o)],
+            "bench": ["bench", "paths"]}[command]
+    study = SMALL_PATHS if command == "bench" else {}
+    outputs = []
+    for extra, cfg in (([f"--{key.replace('_', '-')}", str(value)], study), ([], {**study, key: value})):
+        assert main([*base, *extra, "--config", _write(tmp_path / "c.json", json.dumps(cfg)),
+                     "--out", "o"]) == EXIT_OK
+        files = sorted((tmp_path / "o").iterdir())
+        outputs.append({f.name: f.read_bytes() for f in files})
+        for f in files:
+            f.unlink()
+    assert "config_echo.json" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
+# The flags of each subcommand: one per setting, plus --config and --help.
+CLI_FLAGS = {
+    "fit": {"--data", "--kernel", "--composition", "--method", "--iterations", "--seed", "--out"},
+    "predict": {"--model", "--points", "--out"},
+    "effects": {"--model", "--direction", "--grid-size", "--out"},
+    "bench": {"--seed", "--out"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_FLAGS))
+def test_help_lists_the_flags(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = capsys.readouterr().out
+    assert set(re.findall(r"--[a-z-]+", text)) == CLI_FLAGS[command] | {"--config", "--help"}
+    if command == "bench":
+        assert "{gfunction,paths}" in text

@@ -58,6 +58,13 @@ class TestDataset:
         np.testing.assert_array_equal(back.X, ds.X)
         np.testing.assert_array_equal(back.Y, ds.Y)
 
+    def test_csv_skips_blank_lines(self, tmp_path):
+        p = tmp_path / "blank.csv"
+        p.write_text("\nx1,x2,y\n0.1,0.2,1.0\n\n0.5,0.6,2.0\n")
+        back = Dataset.from_csv(p)
+        np.testing.assert_array_equal(back.X, [[0.1, 0.2], [0.5, 0.6]])
+        np.testing.assert_array_equal(back.Y, [1.0, 2.0])
+
     def test_csv_rejects_bad_header(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,b\n0.1,0.2\n")
@@ -66,10 +73,14 @@ class TestDataset:
 
 
 class TestFit:
-    def test_single_point_uncentered_weights(self):
+    def test_single_point_centered_weights(self):
+        # One point is its own mean: the centered response and the weights are 0, and the model
+        # predicts that mean everywhere.
         ds = Dataset(np.array([[0.4, 0.7]]), np.array([3.0]))
-        gp = fit_gp(gauss2(), ds, 0.0, center=False)
-        np.testing.assert_allclose(gp.weights, [1.5])
+        gp = fit_gp(gauss2(), ds, 0.0)
+        assert gp.y_mean == 3.0
+        np.testing.assert_array_equal(gp.weights, [0.0])
+        np.testing.assert_array_equal(predict_mean(gp, np.array([[0.4, 0.7], [0.9, 0.1]])), [3.0, 3.0])
 
     def test_degenerate_design_raises_with_report(self):
         ds = Dataset(RECT4, np.array([1.0, 2.0, -0.5, 0.5]))
@@ -319,17 +330,20 @@ class TestDegeneracyDetection:
 
 class TestSerialization:
     def test_model_round_trip(self, tmp_path):
+        # model.json holds everything prediction needs: the reloaded model predicts bit for bit,
+        # over more than one block of query rows.
         rng = np.random.default_rng(15)
-        ds = Dataset(rng.uniform(size=(6, 2)), rng.standard_normal(6))
+        ds = Dataset(rng.uniform(size=(6, 2)), 3.0 + rng.standard_normal(6))
         gp = fit_gp(make_kernel("matern32", [1.0, 0.4], [0.3, 0.6]), ds, 0.02)
         path = tmp_path / "model.json"
         gp.save(path)
         from addkrig import FittedGP
 
         back = FittedGP.load(path)
-        x = rng.uniform(size=2)
-        assert predict_mean(back, x) == pytest.approx(predict_mean(gp, x), rel=1e-12)
-        assert predict_var(back, x) == pytest.approx(predict_var(gp, x), abs=1e-12)
+        x, grid = rng.uniform(size=(BLOCK + 200, 2)), np.linspace(0.0, 1.0, BLOCK + 101)
+        np.testing.assert_array_equal(predict_mean(back, x), predict_mean(gp, x))
+        np.testing.assert_array_equal(predict_var(back, x), predict_var(gp, x))
+        np.testing.assert_array_equal(centered_effect(back, 1, grid), centered_effect(gp, 1, grid))
 
 
 class TestOneCovariancePath:
