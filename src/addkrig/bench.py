@@ -51,6 +51,8 @@ class GFunctionSpec:
 
     def __post_init__(self):
         a = np.atleast_1d(np.asarray(self.a, dtype=float))
+        if a.ndim != 1 or not a.size:
+            raise ValueError(f"g-function coefficients must be a non-empty list, got shape {a.shape}")
         if np.any(a <= 0):
             raise ValueError("g-function coefficients must be > 0")
         object.__setattr__(self, "a", a)
@@ -330,7 +332,7 @@ def _run(report, run_id, method, dataset, bounds, cfg, seed, score=None) -> None
             )
         value = float("nan")
         if score is not None:
-            model = fit_gp(result.params.to_kernel(), dataset, result.params.noise)
+            model = fit_gp(result.params, dataset, result.params.noise)
             value = q2(score[1], predict_mean(model, score[0]))
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
         report.failures.append(f"{run_id}: {exc}")

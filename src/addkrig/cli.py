@@ -150,11 +150,12 @@ def cmd_fit(args) -> int:
         result = estimate_ulm(centered, family=cfg["kernel"],
                               composition=cfg["composition"], bounds=bounds,
                               seed=cfg["seed"])
-    fit_gp(result.params.to_kernel(), dataset, result.params.noise).save(out / "model.json")
+    fit_gp(result.params, dataset, result.params.noise).save(out / "model.json")
     write_traces(out / "trace.csv", {"fit": result.trace})
     print(f"final l: {result.best_value:.6g}")
     print(f"tau2: {result.params.noise:.6g}")
-    print(f"additivity ratio: {additivity_ratio(result.params):.6g}")
+    if result.params.is_additive:
+        print(f"additivity ratio: {additivity_ratio(result.params):.6g}")
     return EXIT_OK if result.converged else EXIT_NUMERIC
 
 

@@ -34,7 +34,9 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf as cholesky
 from scipy.linalg.lapack import dpotri, dpotrs
 
-from ._lbfgsb import minimize  # bound by name, like cholesky, so the tracer times each run
+# The one L-BFGS-B loop, bound by name like cholesky so that the tracer times each inner run: the
+# drivers call it as ``minimize``, and it is exported as ``optimize_local``.
+from ._lbfgsb import minimize, minimize as optimize_local
 from .gp import Dataset, _check_pivots, _write_csv
 from .kernels import AdditiveKernel, _check_names, _check_params, _corr
 
@@ -54,51 +56,24 @@ __all__ = [
     "write_traces",
 ]
 
-# Sentinel magnitude returned to the optimizer when the covariance cannot be
-# factorized; finite so that line searches can retreat.
-_SENTINEL = 1e12
+@dataclass(frozen=True, eq=False, init=False)
+class HyperParams(AdditiveKernel):
+    """A kernel plus the noise variance tau^2, built as ``HyperParams(variances, lengthscales,
+    tau^2, family, composition)``; the kernel's parameters are checked as any kernel's are."""
 
-
-@dataclass(frozen=True, eq=False)
-class HyperParams:
-    """Per-direction (variance, lengthscale) pairs plus the noise variance tau^2."""
-
-    variances: np.ndarray
-    lengthscales: np.ndarray
     noise: float
-    family: str = "gaussian"
-    composition: str = "additive"
 
-    def __post_init__(self):
-        object.__setattr__(self, "variances", np.asarray(self.variances, dtype=float))
-        object.__setattr__(self, "lengthscales", np.asarray(self.lengthscales, dtype=float))
-        if self.variances.shape != self.lengthscales.shape:
-            raise ValueError("variances and lengthscales must have equal length")
-        if not (math.isfinite(self.noise) and self.noise >= 0):
-            raise ValueError(f"noise variance must be finite and >= 0, got {self.noise}")
-        _check_names(self.family, self.composition)
-
-    @property
-    def d(self) -> int:
-        return self.variances.shape[0]
-
-    def to_kernel(self) -> AdditiveKernel:
-        return AdditiveKernel(self.family, self.variances, self.lengthscales, self.composition)
-
-    @classmethod
-    def from_vector(cls, x, d: int, family: str = "gaussian", composition: str = "additive") -> HyperParams:
-        """Parameters from an optimization vector laid out as :meth:`HyperBounds.box`; the
-        tensor composition's one variance is direction 0's, the others are 1."""
-        x = np.asarray(x, dtype=float)
-        n_var = d if composition == "additive" else 1
-        if x.shape != (n_var + d + 1,):
-            raise ValueError(f"expected a vector of {n_var + d + 1} entries, got shape {x.shape}")
-        return cls(*_split(x, d, composition), family, composition)
+    def __init__(self, variances, lengthscales, noise, family="gaussian", composition="additive"):
+        super().__init__(family, variances, lengthscales, composition)
+        if not (math.isfinite(noise) and noise >= 0):
+            raise ValueError(f"noise variance must be finite and >= 0, got {noise}")
+        object.__setattr__(self, "noise", noise)
 
 
 def _split(x: np.ndarray, d: int, composition: str) -> tuple[np.ndarray, np.ndarray, float]:
     """(variances, lengthscales, tau^2) of a vector laid out as :meth:`HyperBounds.box`, as views
-    where they can be."""
+    where they can be: the one reader of that layout.  The tensor composition's one variance is
+    direction 0's, the others are 1."""
     if composition == "additive":
         return x[:d], x[d:2 * d], float(x[-1])
     return np.concatenate([x[:1], np.ones(d - 1)]), x[1:d + 1], float(x[-1])
@@ -108,8 +83,11 @@ def additivity_ratio(params: HyperParams) -> float:
     """Share of modeled variance attributed to the additive directions.
 
     Returns sum(sigma_i^2) / (sum(sigma_i^2) + tau^2) in [0, 1]; 1 means the
-    data is explained as purely additive, 0 as pure noise.
+    data is explained as purely additive, 0 as pure noise.  Tensor parameters have no such
+    share (their variances multiply, and all but one are fixed at 1): ValueError.
     """
+    if not params.is_additive:
+        raise ValueError("additivity ratio is defined for additive kernels only")
     total = float(np.sum(params.variances))
     denom = total + params.noise
     if denom <= 0:
@@ -136,8 +114,8 @@ class HyperBounds:
             raise ValueError(f"boxes need lengthscale > 0 and variance, noise >= 0, got {self}")
 
     def box(self, d: int, composition: str = "additive") -> list[tuple[float, float]]:
-        """(lower, upper) per entry of the optimization vector that :meth:`HyperParams.from_vector`
-        reads: the d variances (one for tensor), the d lengthscales, then tau^2."""
+        """(lower, upper) per entry of the optimization vector that :func:`_split` reads: the d
+        variances (one for tensor), the d lengthscales, then tau^2."""
         _check_names(composition=composition)
         n_var = d if composition == "additive" else 1
         return [self.variance] * n_var + [self.lengthscale] * d + [self.noise]
@@ -268,64 +246,6 @@ def nll_gradient(params: HyperParams, dataset: Dataset) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Local optimizer
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class OptResult:
-    x: np.ndarray
-    value: float
-    n_calls: int
-    converged: bool
-
-
-def optimize_local(
-    value_and_grad,
-    bounds: list[tuple[float, float]],
-    start,
-    max_evals: int = 1000,
-) -> OptResult:
-    """Box-constrained quasi-Newton descent (L-BFGS-B) with call counting.
-
-    scipy's compiled L-BFGS-B is stepped directly (``_lbfgsb.minimize``), with iterates bit for
-    bit those of ``scipy.optimize.minimize(method="L-BFGS-B", jac=True)`` at its defaults and
-    ``maxfun=max_evals``.  ``bounds`` is one (lower, upper) pair per entry of ``x``.
-    ``value_and_grad(x) -> (f, g)`` may raise ``np.linalg.LinAlgError`` to
-    signal an infeasible point; a large finite sentinel with a retreating
-    gradient is fed to the optimizer instead.  Every call is counted,
-    including line-search probes, and the best evaluated point is returned
-    (never worse than the start).
-    """
-    lower, upper = np.array(bounds, dtype=float).T
-    if np.isnan([lower, upper]).any():  # None reads as NaN here; an absent bound is +-inf
-        raise ValueError(f"every bound must be a number, got {bounds}")
-    n_calls = 0
-    best = {"x": None, "f": np.inf}
-
-    def wrapped(x):
-        nonlocal n_calls
-        n_calls += 1
-        try:
-            f, g = value_and_grad(x)
-        except np.linalg.LinAlgError:
-            scale = 1.0 + float(np.sum(np.square(x)))
-            return _SENTINEL * scale, 2.0 * _SENTINEL * x
-        if not np.isfinite(f):
-            return _SENTINEL, np.zeros_like(x)
-        if f < best["f"]:
-            best["f"] = f
-            best["x"] = np.array(x)
-        return f, np.asarray(g, dtype=float)
-
-    converged = minimize(wrapped, start, lower, upper, max_evals)
-    if best["x"] is None:
-        raise np.linalg.LinAlgError("objective never evaluated successfully")
-    exhausted = n_calls >= max_evals and not converged
-    return OptResult(np.clip(best["x"], lower, upper), best["f"], n_calls, not exhausted)
-
-
-# ---------------------------------------------------------------------------
 # Traces
 # ---------------------------------------------------------------------------
 
@@ -404,18 +324,18 @@ def estimate_ulm(
     box = (bounds or default_bounds(dataset)).box(d, composition)
     lik = _Likelihood(dataset)
 
-    def objective(x):  # the vector read as HyperParams.from_vector reads it, without building one
+    def objective(x):  # the vector read by _split, without building a HyperParams per call
         return lik._evaluate(family, composition, *_split(x, d, composition))
 
     rng = np.random.default_rng(seed)
 
     trace = EstimationTrace()
-    best: OptResult | None = None
+    best = None
     any_converged = False
     for r in range(n_restarts):
         start = np.mean(box, axis=1) if r == 0 else rng.uniform(*np.transpose(box))
         try:
-            res = optimize_local(objective, box, start, max_evals=max_evals)
+            res = minimize(objective, box, start, max_evals=max_evals)
         except np.linalg.LinAlgError:
             continue
         trace.add(r + 1, 0, res.n_calls, res.value, float(res.x[-1]))
@@ -424,8 +344,8 @@ def estimate_ulm(
             best = res
     if best is None:
         raise np.linalg.LinAlgError("all ULM restarts failed to evaluate the likelihood")
-    return EstimationResult(HyperParams.from_vector(best.x, d, family, composition), trace,
-                            best.value, any_converged)
+    params = HyperParams(*_split(best.x, d, composition), family, composition)
+    return EstimationResult(params, trace, best.value, any_converged)
 
 
 def estimate_rlm(
@@ -473,8 +393,8 @@ def estimate_rlm(
         for l in range(d):
             sigma_start = variances[l] if variances[l] > 0 else sigma_kick
             start = np.array([sigma_start, lengthscales[l], noise])
-            res = optimize_local(lik.direction(l, HyperParams(variances, lengthscales, noise, family)),
-                                 inner_box, start, max_evals=max_evals_inner)
+            res = minimize(lik.direction(l, HyperParams(variances, lengthscales, noise, family)),
+                           inner_box, start, max_evals=max_evals_inner)
             if res.value <= current:
                 variances[l], lengthscales[l] = res.x[0], res.x[1]
                 noise = float(res.x[2])
@@ -486,5 +406,5 @@ def estimate_rlm(
             if (cycle_start - current) < 1e-6 * max(1.0, abs(cycle_start)):
                 break
 
-    params = HyperParams(variances.copy(), lengthscales.copy(), noise, family, "additive")
+    params = HyperParams(variances, lengthscales, noise, family)
     return EstimationResult(params, trace, current, converged)

@@ -57,6 +57,9 @@ class TestGFunction:
             g_function([0.5, 0.5], SPEC4)
         with pytest.raises(ValueError):
             GFunctionSpec([1.0, 0.0])
+        for a in ([], [[1.0, 2.0]]):  # no direction at all, or coefficients that are not one list
+            with pytest.raises(ValueError, match="non-empty list"):
+                GFunctionSpec(a)
 
 
 class TestSobolIndices:

@@ -66,6 +66,24 @@ class TestFit:
         assert code == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
+    def test_seed_does_not_change_a_ulm_fit(self, tmp_path, data_csv):
+        # One ULM start, at the box midpoint; the seed only draws the starts of restarts 2 on.
+        outs = []
+        for seed in ("0", "7"):
+            out = tmp_path / f"seed{seed}"
+            assert main(["fit", "--data", str(data_csv), "--method", "ulm", "--seed", seed,
+                         "--out", str(out)]) == EXIT_OK
+            outs.append(out)
+        for name in ("model.json", "trace.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_tensor_fit_prints_no_additivity_ratio(self, tmp_path, data_csv, capsys):
+        # A tensor fit's variances multiply, so no share of them is additive.
+        main(["fit", "--data", str(data_csv), "--method", "ulm", "--composition", "tensor",
+              "--out", str(tmp_path / "o")])
+        stdout = capsys.readouterr().out
+        assert "final l:" in stdout and "additivity ratio" not in stdout
+
     def test_rlm_tensor_rejected(self, tmp_path, data_csv):
         out = tmp_path / "out"
         code = main(["fit", "--data", str(data_csv), "--method", "rlm",
@@ -364,6 +382,7 @@ MALFORMED_INPUTS = {
     "huge-true-variance": lambda t, d: [
         "bench", "paths", "--config", _write(t / "c.json", '{"true_variance": 1%s}' % ("0" * 400))],
     "bool-a": lambda t, d: ["bench", "gfunction", "--config", _write(t / "c.json", '{"a": [true, 0.5]}')],
+    "bench-empty-a": lambda t, d: ["bench", "gfunction", "--config", _write(t / "c.json", '{"a": []}')],
     "list-family": lambda t, d: [
         "effects", "--model", _model_file(t, _kernel_edit(family=["gaussian", "gaussian"]))],
     "fit-misspelled-key": lambda t, d: [

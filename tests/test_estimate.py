@@ -32,7 +32,7 @@ from kernel_oracle import grad_cov_matrix
 
 def dense_nll(params, dataset):
     """Independent oracle: explicit slogdet + solve, no Cholesky reuse."""
-    K = cov_matrix(params.to_kernel(), dataset.X, params.noise)
+    K = cov_matrix(params, dataset.X, params.noise)
     sign, logdet = np.linalg.slogdet(K)
     assert sign > 0
     return logdet + float(dataset.Y @ np.linalg.solve(K, dataset.Y))
@@ -104,7 +104,7 @@ class TestGradient:
         ds = random_dataset(8, 2, 5)
 
         def vg(x):
-            return nll_value_and_grad(HyperParams.from_vector(x, 2, fam, comp), ds)
+            return nll_value_and_grad(HyperParams(*estimate._split(x, 2, comp), fam, comp), ds)
 
         x0 = np.array([1.2, 0.6, 0.35, 0.55, 0.2][: 5 if comp == "additive" else 4])
         f0, g = vg(x0)
@@ -162,19 +162,18 @@ class TestValueAndGrad:
 
 def oracle_gradient(params, dataset):
     """<K^-1, G> - alpha^T G alpha with each G = dK/dp from the test oracle grad_cov_matrix."""
-    kernel = params.to_kernel()
-    K = cov_matrix(kernel, dataset.X, params.noise)
+    K = cov_matrix(params, dataset.X, params.noise)
     factor = cho_factor(K, lower=True)
     Kinv = cho_solve(factor, np.eye(dataset.n))
     alpha = cho_solve(factor, dataset.Y)
-    ids = [f"variance_{i}" for i in range(params.d if params.composition == "additive" else 1)]
-    ids += [f"lengthscale_{i}" for i in range(params.d)] + ["noise"]
-    grads = [grad_cov_matrix(kernel, dataset.X, params.noise, pid) for pid in ids]
+    ids = [f"variance_{i}" for i in range(params.dims if params.is_additive else 1)]
+    ids += [f"lengthscale_{i}" for i in range(params.dims)] + ["noise"]
+    grads = [grad_cov_matrix(params, dataset.X, params.noise, pid) for pid in ids]
     return np.array([np.sum(Kinv * G) - alpha @ G @ alpha for G in grads])
 
 
 def ulm_objective(ds, family, composition):
-    """The objective estimate_ulm hands to optimize_local, caught at its one restart."""
+    """The objective estimate_ulm hands to the L-BFGS-B loop, caught at its one restart."""
     seen = []
 
     def catch(value_and_grad, *args, **kwargs):
@@ -182,7 +181,7 @@ def ulm_objective(ds, family, composition):
         raise np.linalg.LinAlgError("caught")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimate, "optimize_local", catch)
+        mp.setattr(estimate, "minimize", catch)
         with pytest.raises(np.linalg.LinAlgError, match="all ULM restarts failed"):
             estimate_ulm(ds, family, composition)
     return seen[0]
@@ -195,6 +194,8 @@ class TestLikelihoodEngine:
         lambda ds: estimate_ulm(ds, family="matern32", composition="tensor", max_evals=200),
     ], ids=["rlm", "ulm-additive", "ulm-tensor"])
     def test_objective_builds_no_kernel_objects(self, run, monkeypatch):
+        # Kernels (HyperParams among them) are built per inner run and for the result, never per
+        # objective call: RLM builds one per direction visit plus the result, ULM the result alone.
         def refuse(*args, **kwargs):
             raise AssertionError("kernel assembly on the objective path")
 
@@ -203,10 +204,14 @@ class TestLikelihoodEngine:
             monkeypatch.setattr(estimate, name, refuse, raising=False)
         for name in ("__post_init__", "corr"):
             monkeypatch.setattr(kernels.UnivariateKernel, name, refuse)
-        monkeypatch.setattr(kernels.AdditiveKernel, "__post_init__", refuse)
+        built, real = [], kernels.AdditiveKernel.__post_init__
+        monkeypatch.setattr(kernels.AdditiveKernel, "__post_init__", lambda k: built.append(1) or real(k))
         res = run(random_dataset(12, 3, 30))
-        assert res.trace.total_calls > 0
+        inner_runs = len(res.trace.records)
+        assert res.trace.total_calls > 4 * inner_runs
         assert np.isfinite(res.best_value)
+        rlm = all(r.direction > 0 for r in res.trace.records)
+        assert len(built) == (inner_runs + 1 if rlm else 1)
 
     @pytest.mark.parametrize("fam", ["gaussian", "matern32"])
     @pytest.mark.parametrize("comp", ["additive", "tensor"])
@@ -219,7 +224,7 @@ class TestLikelihoodEngine:
         for _ in range(3):
             x = rng.uniform(*np.transpose(box))
             value, g = vg(x)
-            want_value, want_g = nll_value_and_grad(HyperParams.from_vector(x, d, fam, comp), ds)
+            want_value, want_g = nll_value_and_grad(HyperParams(*estimate._split(x, d, comp), fam, comp), ds)
             assert value == want_value
             np.testing.assert_array_equal(g, want_g)
 
@@ -382,7 +387,7 @@ class TestLapackPath:
     def test_singular_rectangle_raises_through_the_pivot_test(self):
         ds = Dataset(RECTANGLE, np.arange(4.0))
         p = HyperParams([1.0, 1.0], [0.6, 0.6], 0.0)
-        K = cov_matrix(p.to_kernel(), RECTANGLE, 0.0)
+        K = cov_matrix(p, RECTANGLE, 0.0)
         assert dpotrf(K.T.copy(), lower=1)[1] == 0  # LAPACK accepts it: only the pivot test refuses
         with pytest.raises(np.linalg.LinAlgError):
             nll_value_and_grad(p, ds)
@@ -392,23 +397,26 @@ class TestLapackPath:
     def test_optimize_local_turns_both_failures_into_the_sentinel(self, monkeypatch):
         # Direction 0 of the rectangle with sigma_1^2 = 1 fixed: sigma_0^2 = 0 leaves K = r_1,
         # which LAPACK refuses; sigma_0^2 = 1 gives K = r_0 + r_1, which the pivot test refuses.
+        # A run started there hands setulb that point's (f, g) on its second call.
         vg = _Likelihood(Dataset(RECTANGLE, np.arange(4.0))).direction(0, HyperParams([0.0, 1.0], [0.6, 0.6], 0.0))
-        points = [np.array([0.0, 0.6, 0.0]), np.array([1.0, 0.6, 0.0])]
-        for x in points:
+        fed, real = [], _lbfgsb._scipy_lbfgsb.setulb
+
+        def recording(m, x, low, up, nbd, f, g, *rest):
+            fed.append((x.copy(), float(f), g.copy()))
+            return real(m, x, low, up, nbd, f, g, *rest)
+
+        monkeypatch.setattr(_lbfgsb._scipy_lbfgsb, "setulb", recording)
+        for x in (np.array([0.0, 0.6, 0.0]), np.array([1.0, 0.6, 0.0])):
             with pytest.raises(np.linalg.LinAlgError):
                 vg(x)
-        seen, real = [], estimate.minimize
-
-        def probing(fun, *args):
-            seen.extend(fun(x) for x in points)
-            return real(fun, *args)
-
-        monkeypatch.setattr(estimate, "minimize", probing)
-        res = optimize_local(vg, [(0.0, 2.0), (0.1, 1.0), (0.0, 1.0)], [1.0, 0.6, 0.5])
-        for x, (f, g) in zip(points, seen):
-            assert f == estimate._SENTINEL * (1.0 + x @ x)
-            np.testing.assert_array_equal(g, 2.0 * estimate._SENTINEL * x)
-        assert np.isfinite(res.value) and res.value < estimate._SENTINEL
+            fed.clear()
+            with pytest.raises(np.linalg.LinAlgError, match="never evaluated successfully"):
+                optimize_local(vg, [(0.0, 2.0), (0.1, 1.0), (0.0, 1.0)], x)
+            (x0, _, _), (x1, f, g) = fed[:2]
+            np.testing.assert_array_equal(x0, x)
+            np.testing.assert_array_equal(x1, x)
+            assert f == _lbfgsb._SENTINEL * (1.0 + x @ x)
+            np.testing.assert_array_equal(g, 2.0 * _lbfgsb._SENTINEL * x)
 
 
 BAD_POINTS = [  # (variance, lengthscale, tau^2) outside the objective's domain
@@ -432,6 +440,15 @@ class TestPerCallValidation:
         with pytest.raises(ValueError):
             nll_value_and_grad(HyperParams([v, 1.0], [0.4, t], noise, "matern32", comp), ds)
 
+    @pytest.mark.parametrize("v, t, noise", BAD_POINTS)
+    @pytest.mark.parametrize("comp", ["additive", "tensor"])
+    def test_ulm_objective_rejects(self, v, t, noise, comp):
+        # The optimizer's vector reaches the engine without a HyperParams, so the engine checks it.
+        vg = ulm_objective(random_dataset(6, 2, 54), "matern32", comp)
+        x = [v, 1.0, 0.4, t, noise] if comp == "additive" else [v, 0.4, t, noise]
+        with pytest.raises(ValueError):
+            vg(np.array(x))
+
     def test_domain_edge_is_accepted(self):
         # Zero variances and zero noise are evaluable when K stays positive definite.
         ds = random_dataset(6, 2, 55)
@@ -446,6 +463,11 @@ class TestHyperParamsValidation:
     @pytest.mark.parametrize("kwargs", [
         {"family": "foo"}, {"composition": "foo"}, {"noise": math.nan}, {"noise": math.inf},
         {"noise": -0.1},
+        # what no kernel accepts, refused by AdditiveKernel's own checks
+        {"variances": [-0.1, 1.0]}, {"variances": [math.nan, 1.0]}, {"lengthscales": [0.3, 0.0]},
+        {"lengthscales": [math.nan, 0.3]}, {"lengthscales": [0.3, math.inf]},
+        {"variances": [], "lengthscales": []}, {"lengthscales": [0.3]},
+        {"variances": [-0.1, 1.0], "composition": "tensor"}, {"lengthscales": [0.0, 0.3], "composition": "tensor"},
     ])
     def test_rejects(self, kwargs):
         args = {"variances": [1.0, 1.0], "lengthscales": [0.3, 0.3], "noise": 0.1, **kwargs}
@@ -675,9 +697,9 @@ def scipy_optimize_local(value_and_grad, bounds, start, max_evals=1000):
             f, g = value_and_grad(x)
         except np.linalg.LinAlgError:
             scale = 1.0 + float(np.sum(np.square(x)))
-            return estimate._SENTINEL * scale, 2.0 * estimate._SENTINEL * x
+            return _lbfgsb._SENTINEL * scale, 2.0 * _lbfgsb._SENTINEL * x
         if not np.isfinite(f):
-            return estimate._SENTINEL, np.zeros_like(x)
+            return _lbfgsb._SENTINEL, np.zeros_like(x)
         if f < best["f"]:
             best["f"] = f
             best["x"] = np.array(x)
@@ -686,7 +708,7 @@ def scipy_optimize_local(value_and_grad, bounds, start, max_evals=1000):
     res = scipy.optimize.minimize(wrapped, start, jac=True, method="L-BFGS-B", bounds=bounds,
                                   options={"maxfun": max_evals})
     exhausted = n_calls >= max_evals and not res.success
-    return estimate.OptResult(np.clip(best["x"], lower, upper), best["f"], n_calls, not exhausted)
+    return _lbfgsb.OptResult(np.clip(best["x"], lower, upper), best["f"], n_calls, not exhausted)
 
 
 def assert_same_run(value_and_grad, bounds, start, max_evals=1000):
@@ -750,7 +772,7 @@ class TestScipyOracle:
     def test_sentinel_objective(self):
         vg = _Likelihood(Dataset(RECTANGLE, np.arange(4.0))).direction(0, HyperParams([0.0, 1.0], [0.6, 0.6], 0.0))
         res = assert_same_run(vg, [(0.0, 2.0), (0.1, 1.0), (0.0, 1.0)], [1.0, 0.6, 0.5])
-        assert res.value < estimate._SENTINEL
+        assert res.value < _lbfgsb._SENTINEL
 
     @pytest.mark.parametrize("n, d", [(30, 3), (60, 6)])
     def test_rlm_directions_on_study_data(self, n, d):
@@ -779,8 +801,7 @@ class TestScipyOracle:
     def test_whole_fits_on_study_data(self, run, monkeypatch):
         ds = study_dataset(30, 3)
         got = run(ds)
-        monkeypatch.setattr(estimate, "minimize", lambda fun, x0, lower, upper, maxfun: scipy.optimize.minimize(
-            fun, x0, jac=True, method="L-BFGS-B", bounds=list(zip(lower, upper)), options={"maxfun": maxfun}).success)
+        monkeypatch.setattr(estimate, "minimize", scipy_optimize_local)
         want = run(ds)
         assert got.trace == want.trace and got.best_value == want.best_value
         assert got.converged == want.converged
@@ -911,6 +932,11 @@ class TestHelpers:
         with pytest.raises(ValueError):
             additivity_ratio(HyperParams([0.0], [0.5], 0.0))
 
+    def test_additivity_ratio_refuses_tensor_params(self):
+        # A tensor fit's variances are [sigma^2, 1, ..., 1]: summing them counts the padding.
+        with pytest.raises(ValueError, match="additive"):
+            additivity_ratio(HyperParams([2.3, 1.0, 1.0], [0.5, 0.5, 0.5], 0.5, "gaussian", "tensor"))
+
     def test_default_bounds_scaled_to_variance(self):
         ds = Dataset([[0.1], [0.5], [0.9]], [0.0, 3.0, 0.0])
         hb = default_bounds(ds)
@@ -921,7 +947,7 @@ class TestHelpers:
             default_bounds(Dataset([[0.1], [0.9]], [1.0, 1.0]))
 
     def test_optimization_layout(self):
-        # HyperBounds.box, HyperParams.from_vector and the gradient share one layout:
+        # HyperBounds.box, _split and the gradient share one layout:
         # the variances (one for tensor), the lengthscales, then tau^2.
         hb = HyperBounds((0.0, 2.0), (0.1, 3.0), (1e-6, 1.0))
         for d in (1, 3):
@@ -931,14 +957,12 @@ class TestHelpers:
                 n_var = d if comp == "additive" else 1
                 assert box == [hb.variance] * n_var + [hb.lengthscale] * d + [hb.noise]
                 v, t = np.linspace(0.5, 1.5, n_var), np.linspace(0.2, 0.8, d)
-                p = HyperParams.from_vector(np.concatenate([v, t, [0.05]]), d, "matern32", comp)
+                p = HyperParams(*estimate._split(np.concatenate([v, t, [0.05]]), d, comp), "matern32", comp)
                 assert len(nll_value_and_grad(p, ds)[1]) == len(box)
                 want_v = v if comp == "additive" else np.concatenate([v, np.ones(d - 1)])
                 np.testing.assert_array_equal(p.variances, want_v)
                 np.testing.assert_array_equal(p.lengthscales, t)
                 assert (p.noise, p.family, p.composition) == (0.05, "matern32", comp)
-            with pytest.raises(ValueError):
-                HyperParams.from_vector(np.ones(2 * d), d)
 
     def test_bounds_validation(self):
         HyperBounds((0.7, 0.7), (0.1, 0.1), (0.0, 0.0))  # collapsed boxes are valid
@@ -997,10 +1021,10 @@ class TestSingularityAgreement:
                         value = neg_log_likelihood(p, ds)
                     except np.linalg.LinAlgError:
                         continue
-                    model = fit_gp(p.to_kernel(), ds, p.noise)
+                    model = fit_gp(p, ds, p.noise)
                     weights = cho_solve((model.factor, True), ds.Y)
                     assert model.log_det + ds.Y @ weights == pytest.approx(value, rel=1e-12)
-                    K = cov_matrix(p.to_kernel(), X, noise)
+                    K = cov_matrix(p, X, noise)
                     pivot = np.min(np.diag(model.factor)) ** 2 / (np.trace(K) / len(X))
                     near_singular += 1e-12 < pivot <= 1e-8
         assert near_singular > 0

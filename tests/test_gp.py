@@ -483,7 +483,7 @@ class TestScaleSweep:
         X = lhs_maximin(20, 2, seed=11, n_improvement_steps=200)
         Y = scale * (np.sin(5 * X[:, 0]) + X[:, 1] ** 2 + 0.01 * rng.standard_normal(20))
         result = estimate_rlm(Dataset(X, Y - Y.mean()), family=family, n_iterations=2)
-        model = fit_gp(result.params.to_kernel(), Dataset(X, Y), result.params.noise)
+        model = fit_gp(result.params, Dataset(X, Y), result.params.noise)
         for pts in (X, rng.uniform(size=(200, 2))):
             assert np.all(predict_var(model, pts) >= 0.0)
         for i in range(2):
