@@ -22,7 +22,6 @@ from .estimate import (
     estimate_ulm,
     neg_log_likelihood,
     nll_gradient,
-    optimize_local,
 )
 from .gp import (
     CholeskyFailure,
@@ -43,8 +42,6 @@ from .kernels import (
     cross_cov,
     double_integral_univariate,
     integral_univariate,
-    kernel_from_json,
-    kernel_to_json,
     make_kernel,
 )
 

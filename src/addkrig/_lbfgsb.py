@@ -41,36 +41,29 @@ class OptResult:
     converged: bool
 
 
-def minimize(value_and_grad, bounds, start, max_evals: int = 1000) -> OptResult:
-    """Minimize ``value_and_grad(x) -> (f, g)`` over a box with L-BFGS-B, counting every call.
+def minimize(value_and_grad, lower, upper, start, max_evals: int = 1000) -> OptResult:
+    """Minimize ``value_and_grad(x) -> (f, g)`` over the box [lower, upper] with L-BFGS-B, counting
+    every call.
 
-    ``bounds`` is one (lower, upper) pair per entry of ``x`` (entries may be infinite, not None
-    or NaN).  The run starts from ``start`` clipped into the box and stops at the end of the
-    first iteration after which more than ``max_evals`` points have been evaluated.  Every
-    call is counted, line-search probes included; the objective gets a copy of each point, and
-    a point equal to the last one evaluated reuses its (f, g).  A call that raises
-    ``np.linalg.LinAlgError`` marks an infeasible point: L-BFGS-B is fed a large finite sentinel
-    with a retreating gradient instead, and a non-finite f the sentinel with a zero gradient.
-    Returns the best point evaluated (never worse than the start); ``converged`` is False only
-    when the budget ran out before L-BFGS-B converged.
+    ``lower``, ``upper`` and ``start`` are float arrays of one shape (n,), the bounds finite as
+    :meth:`HyperBounds.box` gives them.  The run starts from ``start`` clipped into the box and
+    stops at the end of the first iteration after which more than ``max_evals`` points have been
+    evaluated.  Every call is counted, line-search probes included; the objective gets a copy of
+    each point, and a point equal to the last one evaluated reuses its (f, g).  A call that
+    raises ``np.linalg.LinAlgError`` marks an infeasible point: L-BFGS-B is fed a large finite
+    sentinel with a retreating gradient instead, and a non-finite f the sentinel with a zero
+    gradient.  Returns the best point evaluated (never worse than the start), and raises
+    ``LinAlgError`` when no call succeeded; ``converged`` is False only when the budget ran out
+    before L-BFGS-B converged.
 
     ``setulb`` sizes nothing itself: it reads n off ``x`` and trusts every other array, so the
-    shapes are checked here, and each gradient's size against n, before an array reaches it."""
-    lower, upper = np.array(bounds, dtype=float).T
-    if np.isnan([lower, upper]).any():  # None reads as NaN here; an absent bound is +-inf
-        raise ValueError(f"every bound must be a number, got {bounds}")
-    # As in scipy: the start, clipped, broadcasts with the box, and the box is then broadcast to
-    # the clipped start; what does not broadcast raises here, as it does there.
-    x = np.clip(np.asarray(start, dtype=np.float64), lower, upper)
-    if x.ndim != 1:
-        raise ValueError("'x0' must only have one dimension.")
+    shapes are checked here, and each gradient's shape, before an array reaches it."""
+    x = np.clip(start, lower, upper)
     n = x.size
-    lower, upper = np.broadcast_to(lower, n), np.broadcast_to(upper, n)
-    if np.any(lower > upper):
-        raise ValueError("a lower bound is greater than its upper bound")
-    has_lower, has_upper = np.isfinite(lower), np.isfinite(upper)
-    nbd = np.array([[0, 3], [1, 2]], np.int32)[has_lower.astype(int), has_upper.astype(int)]
-    low, up = np.where(has_lower, lower, 0.0), np.where(has_upper, upper, 0.0)
+    if not np.shape(start) == lower.shape == upper.shape == (n,):
+        raise ValueError(f"start and bounds need one shape (n,), got {np.shape(start)}, "
+                         f"{lower.shape} and {upper.shape}")
+    nbd = np.full(n, 2, np.int32)  # every entry bounded on both sides
     f, g = np.array(0.0), np.zeros(n)
     wa = np.zeros(2 * _M * n + 5 * n + 11 * _M * _M + 8 * _M)
     iwa = np.zeros(3 * n, np.int32)
@@ -80,8 +73,8 @@ def minimize(value_and_grad, bounds, start, max_evals: int = 1000) -> OptResult:
     best_x, best_f = None, np.inf
     while True:
         g = g.astype(np.float64)  # setulb may write into g: never hand it the cached array
-        _scipy_lbfgsb.setulb(_M, x, low, up, nbd, f, g, _FACTR, _PGTOL, wa, iwa, task, lsave, isave,
-                             dsave, _MAXLS, ln_task)
+        _scipy_lbfgsb.setulb(_M, x, lower, upper, nbd, f, g, _FACTR, _PGTOL, wa, iwa, task, lsave,
+                             isave, dsave, _MAXLS, ln_task)
         if task[0] == _FG:
             if x_done is None or not np.array_equal(x, x_done):
                 x_done = x.copy()
@@ -96,9 +89,9 @@ def minimize(value_and_grad, bounds, start, max_evals: int = 1000) -> OptResult:
                         value, grad = _SENTINEL, np.zeros(n)
                     elif value < best_f:
                         best_x, best_f = x_done, value
-                grad = np.asarray(grad, dtype=np.float64).ravel()
-                if grad.size != n:
-                    raise ValueError(f"gradient of {grad.size} entries for {n} parameters")
+                grad = np.asarray(grad, dtype=np.float64)
+                if grad.shape != (n,):
+                    raise ValueError(f"gradient of shape {grad.shape} for {n} parameters")
                 done = float(value), grad
             f, g = done
         elif task[0] == _NEW_X:

@@ -139,6 +139,8 @@ def lhs_maximin(n: int, d: int, seed: int = 0, n_improvement_steps: int = 10000)
     """
     if n < 2:
         raise ValueError("need at least two design points")
+    if d < 1:
+        raise ValueError("need at least one dimension")
     rng = np.random.default_rng(seed)
     X = np.empty((n, d))
     for j in range(d):
@@ -271,6 +273,13 @@ def _check_minima(config, **minima) -> None:
             raise ValueError(f"{name} must be >= {low}, got {getattr(config, name)}")
 
 
+def _check_unique(config, name) -> None:
+    """ValueError if the tuple field ``name`` repeats an entry: a run id would name two runs."""
+    entries = getattr(config, name)
+    if len(set(entries)) != len(entries):
+        raise ValueError(f"{name} must not repeat an entry, got {entries}")
+
+
 @dataclass(frozen=True)
 class GFunctionBenchConfig:
     a: tuple = (1.0, 2.0, 3.0, 4.0)
@@ -290,6 +299,7 @@ class GFunctionBenchConfig:
         _check_names(self.family)
         if not set(self.methods) <= set(_METHODS):
             raise ValueError(f"unknown method in {self.methods}")
+        _check_unique(self, "methods")
         _check_minima(self, n_designs=0, design_size=2, rlm_iterations=1, test_size=2, master_seed=0,
                       lhs_steps=0, ulm_max_evals=1, rlm_max_evals_inner=1)
 
@@ -310,6 +320,7 @@ class PathsBenchConfig:
 
     def __post_init__(self):
         _check_params(self.family, self.true_variance, self.true_lengthscale)
+        _check_unique(self, "dims")
         _check_minima(self, dims=1, n_paths=0, points_per_dim=2, rlm_iterations=1, master_seed=0,
                       lhs_steps=0, ulm_max_evals=1, rlm_max_evals_inner=1)
 

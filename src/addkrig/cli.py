@@ -148,8 +148,7 @@ def cmd_fit(args) -> int:
                               n_iterations=cfg["iterations"])
     else:
         result = estimate_ulm(centered, family=cfg["kernel"],
-                              composition=cfg["composition"], bounds=bounds,
-                              seed=cfg["seed"])
+                              composition=cfg["composition"], bounds=bounds)
     fit_gp(result.params, dataset, result.params.noise).save(out / "model.json")
     write_traces(out / "trace.csv", {"fit": result.trace})
     print(f"final l: {result.best_value:.6g}")
@@ -208,10 +207,8 @@ def cmd_effects(args) -> int:
 
 def cmd_bench(args) -> int:
     config_cls, run = _STUDIES[args.experiment]  # argparse has checked the name
-    cfg = _resolve(args, config_cls.__dataclass_fields__)
-    if "master_seed" in cfg and args.seed is None:  # the studies' own name for the seed
-        cfg["seed"] = _typed(cfg, "master_seed")
-    cfg.pop("master_seed", None)
+    # The study fields are config-file keys too, all but master_seed: the seed is set as seed.
+    cfg = _resolve(args, set(config_cls.__dataclass_fields__) - {"master_seed"})
     try:
         config = config_cls(**_study_options(config_cls, cfg), master_seed=cfg["seed"])
     except ValueError as exc:  # a study field of the right type but out of range

@@ -34,9 +34,8 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf as cholesky
 from scipy.linalg.lapack import dpotri, dpotrs
 
-# The one L-BFGS-B loop, bound by name like cholesky so that the tracer times each inner run: the
-# drivers call it as ``minimize``, and it is exported as ``optimize_local``.
-from ._lbfgsb import minimize, minimize as optimize_local
+# The one L-BFGS-B loop, bound by name like cholesky so that the tracer times each inner run.
+from ._lbfgsb import minimize
 from .gp import Dataset, _check_pivots, _write_csv
 from .kernels import AdditiveKernel, _check_names, _check_params, _corr
 
@@ -48,7 +47,6 @@ __all__ = [
     "neg_log_likelihood",
     "nll_gradient",
     "nll_value_and_grad",
-    "optimize_local",
     "estimate_ulm",
     "estimate_rlm",
     "additivity_ratio",
@@ -113,12 +111,12 @@ class HyperBounds:
         if self.lengthscale[0] <= 0 or self.variance[0] < 0 or self.noise[0] < 0:
             raise ValueError(f"boxes need lengthscale > 0 and variance, noise >= 0, got {self}")
 
-    def box(self, d: int, composition: str = "additive") -> list[tuple[float, float]]:
-        """(lower, upper) per entry of the optimization vector that :func:`_split` reads: the d
-        variances (one for tensor), the d lengthscales, then tau^2."""
+    def box(self, d: int, composition: str = "additive") -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) float arrays over the optimization vector that :func:`_split` reads:
+        the d variances (one for tensor), the d lengthscales, then tau^2."""
         _check_names(composition=composition)
-        n_var = d if composition == "additive" else 1
-        return [self.variance] * n_var + [self.lengthscale] * d + [self.noise]
+        rows = np.array([self.variance, self.lengthscale, self.noise], dtype=float).T  # lower, upper
+        return tuple(np.repeat(rows, [d if composition == "additive" else 1, d, 1], axis=1))
 
 
 def default_bounds(dataset: Dataset) -> HyperBounds:
@@ -252,7 +250,7 @@ def nll_gradient(params: HyperParams, dataset: Dataset) -> np.ndarray:
 
 @dataclass
 class TraceRecord:
-    iteration: int  # RLM cycle index k (1-based); restart index for ULM
+    iteration: int  # RLM cycle index k (1-based); 1 for ULM
     direction: int  # direction l (1-based) for RLM; 0 for ULM
     n_calls: int
     best_value: float
@@ -308,44 +306,23 @@ def estimate_ulm(
     family: str = "gaussian",
     composition: str = "additive",
     bounds: HyperBounds | None = None,
-    n_restarts: int = 1,
     max_evals: int = 5000,
-    seed: int = 0,
 ) -> EstimationResult:
-    """Joint likelihood maximization over all parameters at once.
-
-    Restart 1 starts at the midpoint of the box; further restarts draw
-    uniformly inside the box from a generator seeded with ``seed``.
-    """
-    if n_restarts < 1:
-        raise ValueError("n_restarts must be >= 1")
+    """Joint likelihood maximization over all parameters at once: one L-BFGS-B run from the
+    midpoint of the box."""
     _check_names(family, composition)
     d = dataset.d
-    box = (bounds or default_bounds(dataset)).box(d, composition)
+    lower, upper = (bounds or default_bounds(dataset)).box(d, composition)
     lik = _Likelihood(dataset)
 
     def objective(x):  # the vector read by _split, without building a HyperParams per call
         return lik._evaluate(family, composition, *_split(x, d, composition))
 
-    rng = np.random.default_rng(seed)
-
+    res = minimize(objective, lower, upper, (lower + upper) / 2, max_evals=max_evals)
     trace = EstimationTrace()
-    best = None
-    any_converged = False
-    for r in range(n_restarts):
-        start = np.mean(box, axis=1) if r == 0 else rng.uniform(*np.transpose(box))
-        try:
-            res = minimize(objective, box, start, max_evals=max_evals)
-        except np.linalg.LinAlgError:
-            continue
-        trace.add(r + 1, 0, res.n_calls, res.value, float(res.x[-1]))
-        any_converged = any_converged or res.converged
-        if best is None or res.value < best.value:
-            best = res
-    if best is None:
-        raise np.linalg.LinAlgError("all ULM restarts failed to evaluate the likelihood")
-    params = HyperParams(*_split(best.x, d, composition), family, composition)
-    return EstimationResult(params, trace, best.value, any_converged)
+    trace.add(1, 0, res.n_calls, res.value, float(res.x[-1]))
+    params = HyperParams(*_split(res.x, d, composition), family, composition)
+    return EstimationResult(params, trace, res.value, res.converged)
 
 
 def estimate_rlm(
@@ -394,7 +371,7 @@ def estimate_rlm(
             sigma_start = variances[l] if variances[l] > 0 else sigma_kick
             start = np.array([sigma_start, lengthscales[l], noise])
             res = minimize(lik.direction(l, HyperParams(variances, lengthscales, noise, family)),
-                           inner_box, start, max_evals=max_evals_inner)
+                           *inner_box, start, max_evals=max_evals_inner)
             if res.value <= current:
                 variances[l], lengthscales[l] = res.x[0], res.x[1]
                 noise = float(res.x[2])

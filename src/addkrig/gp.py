@@ -25,16 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
-from .kernels import (
-    AdditiveKernel,
-    _json_floats,
-    cov_matrix,
-    cross_cov,
-    double_integral_univariate,
-    integral_univariate,
-    kernel_from_json,
-    kernel_to_json,
-)
+from .kernels import AdditiveKernel, cov_matrix, cross_cov, double_integral_univariate, integral_univariate
 
 __all__ = [
     "Dataset",
@@ -222,9 +213,13 @@ class FittedGP:
         return 2.0 * float(np.sum(np.log(np.diag(self.factor))))
 
     def to_json(self) -> dict:
+        """The model file: schema version, kernel {family, dims, composition, variance, range},
+        noise and data."""
+        k = self.kernel
         return {
             "schema_version": MODEL_SCHEMA_VERSION,
-            "kernel": kernel_to_json(self.kernel),
+            "kernel": {"family": k.family, "dims": k.dims, "composition": k.composition,
+                       "variance": k.variances.tolist(), "range": k.lengthscales.tolist()},
             "noise": self.noise,
             "x": self.dataset.X.tolist(),
             "y": self.dataset.Y.tolist(),
@@ -239,7 +234,14 @@ class FittedGP:
             raise ValueError("model must be a JSON object")
         if obj.get("schema_version") != MODEL_SCHEMA_VERSION:
             raise ValueError(f"unsupported model schema_version {obj.get('schema_version')!r}")
-        kernel = kernel_from_json(obj["kernel"])
+        k = obj["kernel"]
+        if not isinstance(k, dict):
+            raise ValueError("kernel description must be a JSON object")
+        d = k["dims"]
+        cols = [_json_floats(k[key], key, 1) for key in ("variance", "range")]
+        if not (type(d) is int and all(len(c) == d for c in cols)):
+            raise ValueError(f"kernel variance and range need dims = {d!r} entries each")
+        kernel = AdditiveKernel(k["family"], *cols, k.get("composition", "additive"))
         noise, x, y = (_json_floats(obj[key], key, ndim) for key, ndim in (("noise", 0), ("x", 2), ("y", 1)))
         return fit_gp(kernel, Dataset(x, y), float(noise))
 
@@ -247,6 +249,15 @@ class FittedGP:
     def load(cls, path) -> "FittedGP":
         with open(path) as fh:
             return cls.from_json(json.load(fh))
+
+
+def _json_floats(value, name: str, ndim: int) -> np.ndarray:
+    """A JSON number (ndim 0), list of numbers (1) or list of rows of numbers (2) as a float
+    array.  A string, bool or null where a number belongs is an error: float() would parse it."""
+    arr = np.array(value, dtype=object)
+    if arr.ndim != ndim or not all(type(v) in (int, float) for v in arr.flat):
+        raise ValueError(f"{name} must be {('a number', 'a list of numbers', 'a list of rows of numbers')[ndim]}")
+    return arr.astype(float)
 
 
 def fit_gp(kernel: AdditiveKernel, dataset: Dataset, noise: float = 0.0) -> FittedGP:

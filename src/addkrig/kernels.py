@@ -32,8 +32,6 @@ __all__ = [
     "cross_cov",
     "integral_univariate",
     "double_integral_univariate",
-    "kernel_to_json",
-    "kernel_from_json",
 ]
 
 _FAMILIES = ("gaussian", "matern32")
@@ -248,34 +246,3 @@ def double_integral_univariate(spec: UnivariateKernel) -> float:
     single = (2.0 - ec * (2.0 + c)) / c
     moment = (3.0 - ec * (c**2 + 3.0 * c + 3.0)) / c**2
     return float(spec.variance * 2.0 * (single - moment))
-
-
-def kernel_to_json(kernel: AdditiveKernel) -> dict:
-    """JSON-serializable description: {family, dims, composition, variance, range}."""
-    return {
-        "family": kernel.family,
-        "dims": kernel.dims,
-        "composition": kernel.composition,
-        "variance": kernel.variances.tolist(),
-        "range": kernel.lengthscales.tolist(),
-    }
-
-
-def _json_floats(value, name: str, ndim: int) -> np.ndarray:
-    """A JSON number (ndim 0), list of numbers (1) or list of rows of numbers (2) as a float
-    array.  A string, bool or null where a number belongs is an error: float() would parse it."""
-    arr = np.array(value, dtype=object)
-    if arr.ndim != ndim or not all(type(v) in (int, float) for v in arr.flat):
-        raise ValueError(f"{name} must be {('a number', 'a list of numbers', 'a list of rows of numbers')[ndim]}")
-    return arr.astype(float)
-
-
-def kernel_from_json(obj: dict) -> AdditiveKernel:
-    """Inverse of :func:`kernel_to_json`."""
-    if not isinstance(obj, dict):
-        raise ValueError("kernel description must be a JSON object")
-    d = obj["dims"]
-    cols = [_json_floats(obj[key], key, 1) for key in ("variance", "range")]
-    if not (type(d) is int and all(len(c) == d for c in cols)):
-        raise ValueError(f"kernel variance and range need dims = {d!r} entries each")
-    return AdditiveKernel(obj["family"], *cols, obj.get("composition", "additive"))

@@ -171,6 +171,11 @@ class TestLHS:
         with pytest.raises(ValueError):
             lhs_maximin(1, 2)
 
+    @pytest.mark.parametrize("steps", [0, 10])
+    def test_no_dimension(self, steps):
+        with pytest.raises(ValueError, match="at least one dimension"):
+            lhs_maximin(5, 0, n_improvement_steps=steps)
+
 
 def _reference_sq_dist_rows(X, i):
     d2 = np.sum((X - X[i]) ** 2, axis=1)

@@ -67,7 +67,7 @@ class TestFit:
         assert "error:" in capsys.readouterr().err
 
     def test_seed_does_not_change_a_ulm_fit(self, tmp_path, data_csv):
-        # One ULM start, at the box midpoint; the seed only draws the starts of restarts 2 on.
+        # ULM makes one run, from the box midpoint: nothing in fit draws random numbers.
         outs = []
         for seed in ("0", "7"):
             out = tmp_path / f"seed{seed}"
@@ -300,12 +300,11 @@ class TestBench:
         rows = (out / "report.csv").read_text().strip().splitlines()
         assert len(rows) == 3  # header + 2 methods x 1 path
 
-    @pytest.mark.parametrize("key", ["seed", "master_seed"])
-    def test_seed_flag_wins_and_is_echoed(self, tmp_path, key):
+    def test_seed_flag_wins_and_is_echoed(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "dims": [2], "n_paths": 1, "points_per_dim": 5, "lhs_steps": 50,
-            "rlm_iterations": 1, "ulm_max_evals": 50, "rlm_max_evals_inner": 20, key: 3,
+            "rlm_iterations": 1, "ulm_max_evals": 50, "rlm_max_evals_inner": 20, "seed": 3,
         }))
         out = tmp_path / "bench"
         assert main(["bench", "paths", "--config", str(cfg), "--seed", "5",
@@ -388,6 +387,11 @@ MALFORMED_INPUTS = {
     "fit-misspelled-key": lambda t, d: [
         "fit", "--data", str(d), "--config", _write(t / "c.json", '{"iteratons": 1, "kernal": "matern32"}')],
     "bench-misspelled-key": lambda t, d: ["bench", "paths", "--config", _write(t / "c.json", '{"n_path": 1}')],
+    "bench-master-seed-key": lambda t, d: [  # the seed has one name in a config file: seed
+        "bench", "paths", "--config", _write(t / "c.json", '{"seed": 3, "master_seed": 5}')],
+    "repeated-method": lambda t, d: [
+        "bench", "gfunction", "--config", _write(t / "c.json", '{"methods": ["rlm-additive", "rlm-additive"]}')],
+    "repeated-dims": lambda t, d: ["bench", "paths", "--config", _write(t / "c.json", '{"dims": [2, 2]}')],
     "bench-experiment-key": lambda t, d: [
         "bench", "paths", "--config", _write(t / "c.json", '{"experiment": "gfunction", "n_paths": 0}')],
     "effects-unknown-key": lambda t, d: [

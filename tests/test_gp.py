@@ -17,8 +17,9 @@ from addkrig import (
     predict_var,
     sub_model,
 )
+from addkrig._lbfgsb import minimize
 from addkrig.bench import GFunctionSpec, lhs_maximin
-from addkrig.estimate import HyperParams, estimate_rlm, optimize_local
+from addkrig.estimate import HyperParams, estimate_rlm
 from addkrig.gp import _BLOCK as BLOCK
 from addkrig.kernels import cross_cov, double_integral_univariate, integral_univariate
 
@@ -498,7 +499,7 @@ ARRAY_DATACLASSES = {
     "FittedGP": lambda: fit_gp(gauss2(), Dataset(RECT3, [1.0, 2.0, -0.5]), 1e-6),
     "Dataset": lambda: Dataset(RECT3, [1.0, 2.0, -0.5]),
     "GFunctionSpec": lambda: GFunctionSpec([1.0, 2.0]),
-    "OptResult": lambda: optimize_local(lambda x: (float(x @ x), 2.0 * x), [(-1.0, 1.0)] * 2, [0.5, 0.5]),
+    "OptResult": lambda: minimize(lambda x: (float(x @ x), 2.0 * x), np.full(2, -1.0), np.ones(2), [0.5, 0.5]),
     "EstimationResult": lambda: estimate_rlm(Dataset(RECT3, [1.0, 2.0, -0.5]), n_iterations=1),
     "DegeneracyReport": lambda: detect_degenerate_design(gauss2(), RECT4),
 }

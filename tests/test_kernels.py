@@ -7,12 +7,13 @@ from numpy.polynomial.legendre import leggauss
 
 from addkrig import (
     AdditiveKernel,
+    Dataset,
+    FittedGP,
     UnivariateKernel,
     cov_matrix,
     double_integral_univariate,
+    fit_gp,
     integral_univariate,
-    kernel_from_json,
-    kernel_to_json,
     make_kernel,
 )
 from addkrig.kernels import _CHUNK, _corr, cross_cov
@@ -268,12 +269,13 @@ class TestIntegrals:
 
 class TestSerialization:
     def test_round_trip(self):
+        # A kernel is written into and read back from the model file, FittedGP's JSON form.
         k = make_kernel("matern32", [1.0, 0.5], [0.3, 0.7], "tensor")
-        obj = kernel_to_json(k)
-        assert obj["family"] == "matern32"
-        assert obj["dims"] == 2
-        assert obj["composition"] == "tensor"
-        back = kernel_from_json(obj)
+        model = fit_gp(k, Dataset([[0.1, 0.2], [0.5, 0.9], [0.8, 0.4]], [1.0, 2.0, -0.5]), 1e-6)
+        obj = model.to_json()
+        assert obj["kernel"] == {"family": "matern32", "dims": 2, "composition": "tensor",
+                                 "variance": [1.0, 0.5], "range": [0.3, 0.7]}
+        back = FittedGP.from_json(obj).kernel
         assert (back.family, back.composition) == (k.family, k.composition)
         np.testing.assert_array_equal(back.variances, k.variances)
         np.testing.assert_array_equal(back.lengthscales, k.lengthscales)
