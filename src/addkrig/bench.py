@@ -21,10 +21,9 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import cholesky
 
 from .estimate import default_bounds, estimate_rlm, estimate_ulm
-from .gp import Dataset, _write_csv, _write_json, fit_gp, predict_mean
+from .gp import Dataset, _factor, _write_csv, _write_json, fit_gp, predict_mean
 from .kernels import AdditiveKernel, _check_names, _check_params, cov_matrix, make_kernel
 
 __all__ = [
@@ -186,9 +185,8 @@ def sample_gp_path(kernel: AdditiveKernel, X, seed: int = 0) -> np.ndarray:
     jitter = 1e-10 * np.trace(K) / K.shape[0]
     if jitter == 0.0:  # all variances zero: the path is identically zero
         return np.zeros(K.shape[0])
-    K[np.diag_indices_from(K)] += jitter
     try:
-        L = cholesky(K, lower=True)
+        L = _factor(K, jitter)
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError(
             "design covariance not factorizable even with jitter; change the design"

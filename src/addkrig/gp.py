@@ -10,9 +10,10 @@ m_i(x_i), each with a prediction variance v_i(x_i), and into centered effects
 (m_i*, v_i*) where the unidentifiable per-direction constant is removed by
 subtracting the integral of the direction's process over [0, 1].
 
+One helper, ``_factor``, factorizes every covariance and judges it singular or not.
 Degenerate designs (point sets whose additive covariance matrix is singular
 because one point's process value is an almost-sure linear combination of
-others) are diagnosed with a pivoted Cholesky factorization.
+others) are diagnosed with a blocked, pivoted Cholesky factorization.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .kernels import AdditiveKernel, cov_matrix, cross_cov, double_integral_univariate, integral_univariate
 
@@ -172,25 +174,36 @@ def detect_degenerate_design(kernel: AdditiveKernel, X) -> DegeneracyReport:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     K = cov_matrix(kernel, X, 0.0)
     n = K.shape[0]
-    # A diagnosis, not a decision: looser than _check_pivots, so every
+    # A diagnosis, not a decision: looser than _factor's pivot test, so every
     # covariance that fit_gp refuses gets a non-empty report.
     tol = 1e-8 * np.trace(K) / n
-    # Rank-revealing Cholesky in natural row order: a column whose residual
-    # diagonal falls below tol is a dependent point; earlier points are
-    # preferred as pivots so the diagnosis names the redundant late arrival.
-    pivots: list[int] = []
-    dependents: list[int] = []
-    L_rows: list[np.ndarray] = []
-    for j in range(n):
-        w = np.empty(len(pivots))
-        for m, p in enumerate(pivots):
-            w[m] = (K[p, j] - L_rows[m][:m] @ w[:m]) / L_rows[m][m]
-        r2 = K[j, j] - w @ w
-        if r2 > tol:
-            pivots.append(j)
-            L_rows.append(np.append(w, math.sqrt(r2)))
-        else:
+    # Rank-revealing Cholesky in natural row order, so the diagnosis names the redundant late
+    # arrival: a column whose residual diagonal is at most tol is a dependent point.  Each round
+    # takes the residuals of the undecided columns (j on) against the pivots; the leading ones
+    # at most tol are dependent, LAPACK factors the next (at most 256) columns' Schur complement,
+    # its leading columns above tol are pivots and the first one after them is dependent.
+    pivots, dependents, j = [], [], 0
+    L = np.zeros((n, n))  # the pivots' factor in its leading rows and columns
+    while j < n:
+        p = len(pivots)
+        W = solve_triangular(L[:p, :p], K[pivots, j:], lower=True, check_finite=False)
+        residual = K.diagonal()[j:] - np.einsum("ij,ij->j", W, W)
+        skip = int(np.argmax(np.append(residual > tol, True)))
+        dependents += range(j, j + skip)
+        j += skip
+        W = W[:, skip:skip + 256]  # bounds the work of a round that stops early
+        m = W.shape[1]
+        F, info = dpotrf(K[j:j + m, j:j + m] - W.T @ W, lower=1, clean=1)
+        # LAPACK stops at the info-th column: only the columns before it are factored.
+        passed = F.diagonal()[:info - 1 if info else None] ** 2 > tol
+        k = int(np.argmin(np.append(passed, False)))  # this round's pivots
+        L[p:p + k, :p] = W[:, :k].T
+        L[p:p + k, p:p + k] = F[:k, :k]
+        pivots += range(j, j + k)
+        j += k
+        if k < m:
             dependents.append(j)
+            j += 1
     block = K[np.ix_(pivots, pivots)]
     coeffs = tuple(np.linalg.lstsq(block, K[pivots, j], rcond=None)[0] for j in dependents)
     return DegeneracyReport(len(pivots), tuple(pivots), tuple(dependents), coeffs)
@@ -206,11 +219,6 @@ class FittedGP:
     factor: np.ndarray
     weights: np.ndarray
     y_mean: float
-
-    @property
-    def log_det(self) -> float:
-        """log det of the design covariance matrix (including noise)."""
-        return 2.0 * float(np.sum(np.log(np.diag(self.factor))))
 
     def to_json(self) -> dict:
         """The model file: schema version, kernel {family, dims, composition, variance, range},
@@ -272,24 +280,34 @@ def fit_gp(kernel: AdditiveKernel, dataset: Dataset, noise: float = 0.0) -> Fitt
     """
     if kernel.dims != dataset.d:
         raise ValueError("kernel dims do not match dataset dimension")
-    K = cov_matrix(kernel, dataset.X, noise)
     try:
-        L = cholesky(K, lower=True)
-        _check_pivots(L, np.trace(K))
+        L = _factor(cov_matrix(kernel, dataset.X), noise)
     except np.linalg.LinAlgError:
         raise CholeskyFailure(detect_degenerate_design(kernel, dataset.X)) from None
     y_mean = float(np.mean(dataset.Y))
-    alpha = cho_solve((L, True), dataset.Y - y_mean)
+    alpha = dpotrs(L, dataset.Y - y_mean, lower=1)[0]
     return FittedGP(kernel, float(noise), dataset, L, alpha, y_mean)
 
 
-def _check_pivots(L: np.ndarray, trace: float) -> None:
-    """The one singularity test of a Cholesky factor L of K, given tr(K), shared by fit_gp and
-    the likelihood (which factorizes K in place, so it passes the trace it took first)."""
+def _factor(K: np.ndarray, diag: float) -> np.ndarray:
+    """Lower Cholesky factor L of K + diag I, in place (the symmetric C-ordered K becomes L in
+    Fortran order): the one factorization and singularity test of fit_gp, the likelihood and GP
+    paths.  LinAlgError when a leading minor is not positive definite or a squared pivot is at
+    most 1e-12 tr(K + diag I)/n; ValueError for a diag that is NaN, infinite or negative."""
+    if not (math.isfinite(diag) and diag >= 0):
+        raise ValueError(f"noise variance must be finite and >= 0, got {diag}")
+    diagonal = np.einsum("ii->i", K)  # a writable view
+    diagonal += diag
+    trace = diagonal.sum()  # taken first: the factorization overwrites K
+    # K is exactly symmetric, so K.T is K in Fortran order and LAPACK works in place.
+    L, info = dpotrf(K.T, lower=1, clean=1, overwrite_a=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor of the covariance is not positive definite")
     # An exactly singular K can factorize with a tiny positive pivot; the
     # threshold sits far below any admissible noise floor.
     if L.diagonal().min() ** 2 <= 1e-12 * trace / len(L):
         raise np.linalg.LinAlgError("covariance matrix is numerically singular")
+    return L
 
 
 def _query_points(gp: FittedGP, x, direction: int | None) -> tuple[bool, np.ndarray]:
@@ -342,7 +360,7 @@ def _pass(gp: FittedGP, x, rows: int, direction: int | None = None) -> tuple:
         X, offset = X[:, [direction]], offset / gp.kernel.dims
     if rows == 4:
         I_i = integral_univariate(spec, X[:, 0])  # int K_i(x_j, s) ds
-        Kinv_I = cho_solve((gp.factor, True), I_i, check_finite=False)
+        Kinv_I = dpotrs(gp.factor, I_i, lower=1)[0]
         single_int, double_int = integral_univariate(spec, pts[:, 0]), double_integral_univariate(spec)
     out = np.empty((rows, len(pts)))
     for blk in _blocks(len(pts)):

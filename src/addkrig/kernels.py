@@ -209,9 +209,6 @@ def integral_univariate(spec: UnivariateKernel, x) -> float | np.ndarray:
     even when x falls outside it.
     """
     x = np.asarray(x, dtype=float)
-    if spec.variance == 0.0:
-        out = np.zeros_like(x)
-        return float(out) if out.ndim == 0 else out
     th = spec.lengthscale
     if spec.family == "gaussian":
         c = 1.0 / (math.sqrt(2.0) * th)
@@ -233,8 +230,6 @@ def integral_univariate(spec: UnivariateKernel, x) -> float | np.ndarray:
 
 def double_integral_univariate(spec: UnivariateKernel) -> float:
     """Closed-form double integral of K_i(s, t) over [0, 1]^2."""
-    if spec.variance == 0.0:
-        return 0.0
     th = spec.lengthscale
     if spec.family == "gaussian":
         c = 1.0 / (math.sqrt(2.0) * th)

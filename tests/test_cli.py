@@ -347,6 +347,8 @@ MALFORMED_INPUTS = {
         "predict", "--model", _model_file(t, lambda o: [o]), "--points", _write(t / "p.csv", "0.5,0.5\n")],
     "null-noise": lambda t, d: [
         "predict", "--model", _model_file(t, lambda o: {**o, "noise": None}), "--points", _write(t / "p.csv", "0.5,0.5\n")],
+    "nan-noise": lambda t, d: [  # json reads NaN; the factorization's own check refuses it
+        "predict", "--model", _model_file(t, lambda o: {**o, "noise": float("nan")}), "--points", _write(t / "p.csv", "0.5,0.5\n")],
     "null-dims": lambda t, d: ["effects", "--model", _model_file(t, _kernel_edit(dims=None))],
     "text-n-paths": lambda t, d: ["bench", "paths", "--config", _write(t / "c.json", '{"n_paths": "abc"}')],
     "text-dims": lambda t, d: ["bench", "paths", "--config", _write(t / "c.json", '{"dims": "ab"}')],

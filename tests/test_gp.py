@@ -1,4 +1,5 @@
 import copy
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from addkrig import (
     CholeskyFailure,
     Dataset,
+    DegeneracyReport,
     centered_effect,
     cov_matrix,
     detect_degenerate_design,
@@ -17,8 +19,10 @@ from addkrig import (
     predict_var,
     sub_model,
 )
+from addkrig import bench, estimate
+from addkrig import gp as gp_mod
 from addkrig._lbfgsb import minimize
-from addkrig.bench import GFunctionSpec, lhs_maximin
+from addkrig.bench import GFunctionSpec, lhs_maximin, sample_gp_path
 from addkrig.estimate import HyperParams, estimate_rlm
 from addkrig.gp import _BLOCK as BLOCK
 from addkrig.kernels import cross_cov, double_integral_univariate, integral_univariate
@@ -112,7 +116,28 @@ class TestFit:
         ds = Dataset(rng.uniform(size=(6, 2)), rng.standard_normal(6))
         gp = fit_gp(gauss2(), ds, 0.1)
         _, ref = np.linalg.slogdet(cov_matrix(gp.kernel, ds.X, 0.1))
-        assert gp.log_det == pytest.approx(ref, rel=1e-10)
+        assert 2.0 * np.sum(np.log(np.diag(gp.factor))) == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, -1e-6])
+    def test_bad_noise_raises_before_any_factorization(self, noise, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gp_mod, "dpotrf", lambda *a, **k: calls.append(1))
+        with pytest.raises(ValueError, match="noise"):
+            fit_gp(gauss2(), Dataset(RECT3, np.array([1.0, 2.0, -0.5])), noise)
+        assert calls == []
+
+    def test_fits_and_paths_factor_once_through_one_helper(self, monkeypatch):
+        # fit_gp and sample_gp_path share the likelihood's helper, but not estimate.cholesky, the
+        # name the benchmark's tracer counts.
+        assert bench._factor is gp_mod._factor is estimate.cholesky
+        calls, real = [], gp_mod._factor
+        for owner in (gp_mod, bench):
+            monkeypatch.setattr(owner, "_factor", lambda *a: calls.append(1) or real(*a))
+        monkeypatch.setattr(estimate, "cholesky", None)  # a call through it would raise
+        fit_gp(gauss2(), Dataset(RECT3, np.array([1.0, 2.0, -0.5])), 1e-6)
+        assert len(calls) == 1
+        sample_gp_path(gauss2(), RECT4, seed=3)
+        assert len(calls) == 2
 
 
 class TestPrediction:
@@ -297,7 +322,57 @@ class TestCenteredEffects:
         assert rel.max() <= 0.02
 
 
+def reference_detect_degenerate_design(kernel, X):
+    """The unblocked diagnosis that detect_degenerate_design replaced, kept verbatim as its
+    reference: one Python-level dot product per (pivot, column) pair."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    K = cov_matrix(kernel, X, 0.0)
+    n = K.shape[0]
+    tol = 1e-8 * np.trace(K) / n
+    pivots: list[int] = []
+    dependents: list[int] = []
+    L_rows: list[np.ndarray] = []
+    for j in range(n):
+        w = np.empty(len(pivots))
+        for m, p in enumerate(pivots):
+            w[m] = (K[p, j] - L_rows[m][:m] @ w[:m]) / L_rows[m][m]
+        r2 = K[j, j] - w @ w
+        if r2 > tol:
+            pivots.append(j)
+            L_rows.append(np.append(w, math.sqrt(r2)))
+        else:
+            dependents.append(j)
+    block = K[np.ix_(pivots, pivots)]
+    coeffs = tuple(np.linalg.lstsq(block, K[pivots, j], rcond=None)[0] for j in dependents)
+    return DegeneracyReport(len(pivots), tuple(pivots), tuple(dependents), coeffs)
+
+
+SIX_POINTS = np.array([[0.1, 0.2], [0.6, 0.2], [0.1, 0.9], [0.6, 0.9], [0.35, 0.5], [0.8, 0.05]])
+GRID5 = np.array([[a, b] for a in np.linspace(0.0, 1.0, 5) for b in np.linspace(0.0, 1.0, 5)])
+
+
+def corner_design(n, seed=0):
+    """n - 4 uniform points with a rectangle's four corners appended: under a short Matern
+    lengthscale only the last corner depends on the others."""
+    return np.vstack([np.random.default_rng(seed).uniform(size=(n - 4, 2)), RECT4])
+
+
+SHORT_MATERN = make_kernel("matern32", [1.0, 1.0], [0.02, 0.02])
+
+
 class TestDegeneracyDetection:
+    @pytest.mark.parametrize("kernel, X", [
+        (gauss2(), RECT4), (gauss2(), SIX_POINTS), (gauss2(), GRID5),
+        (make_kernel("matern32", [1.0, 0.5], [0.3, 0.7]), GRID5), (SHORT_MATERN, corner_design(400)),
+        (make_kernel("gaussian", [0.0, 0.0], [0.5, 0.5]), GRID5),  # rank 0: every point dependent
+    ], ids=["rectangle", "six-points", "grid5-gaussian", "grid5-matern", "corners-400", "zero-kernel"])
+    def test_blocked_diagnosis_matches_the_reference(self, kernel, X):
+        rep, want = detect_degenerate_design(kernel, X), reference_detect_degenerate_design(kernel, X)
+        assert (rep.rank, rep.pivot_indices, rep.dependent_point_indices) == \
+            (want.rank, want.pivot_indices, want.dependent_point_indices)
+        assert rep.describe() == want.describe()
+        assert rep.is_degenerate
+
     def test_rectangle(self):
         rep = detect_degenerate_design(gauss2(), RECT4)
         assert rep.rank == 3
@@ -313,10 +388,7 @@ class TestDegeneracyDetection:
     def test_six_point_configuration_rank_five(self):
         # Rectangle cycle embedded in a 6-point design: exactly one linear
         # relation among the process values.
-        X = np.array(
-            [[0.1, 0.2], [0.6, 0.2], [0.1, 0.9], [0.6, 0.9], [0.35, 0.5], [0.8, 0.05]]
-        )
-        rep = detect_degenerate_design(gauss2(), X)
+        rep = detect_degenerate_design(gauss2(), SIX_POINTS)
         assert rep.rank == 5
         assert len(rep.dependent_point_indices) == 1
 
@@ -324,9 +396,10 @@ class TestDegeneracyDetection:
         k = make_kernel("matern32", [1.0] * 4, [0.5] * 4)
         for seed in range(20):
             X = lhs_maximin(40, 4, seed=seed, n_improvement_steps=200)
-            rep = detect_degenerate_design(k, X)
+            rep, want = detect_degenerate_design(k, X), reference_detect_degenerate_design(k, X)
             assert rep.rank == 40
             assert not rep.is_degenerate
+            assert (rep.pivot_indices, rep.describe()) == (want.pivot_indices, want.describe())
 
 
 class TestSerialization:
