@@ -52,8 +52,8 @@ class GFunctionSpec:
         a = np.atleast_1d(np.asarray(self.a, dtype=float))
         if a.ndim != 1 or not a.size:
             raise ValueError(f"g-function coefficients must be a non-empty list, got shape {a.shape}")
-        if np.any(a <= 0):
-            raise ValueError("g-function coefficients must be > 0")
+        if not np.all(np.isfinite(a) & (a > 0)):
+            raise ValueError(f"g-function coefficients must be finite and > 0, got {a}")
         object.__setattr__(self, "a", a)
 
     @property
@@ -180,7 +180,6 @@ def lhs_maximin(n: int, d: int, seed: int = 0, n_improvement_steps: int = 10000)
 
 def sample_gp_path(kernel: AdditiveKernel, X, seed: int = 0) -> np.ndarray:
     """Draw one GP path at the design: Y = L xi with L the (jittered) Cholesky factor."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     K = cov_matrix(kernel, X, 0.0)
     jitter = 1e-10 * np.trace(K) / K.shape[0]
     if jitter == 0.0:  # all variances zero: the path is identically zero
@@ -293,7 +292,7 @@ class GFunctionBenchConfig:
     rlm_max_evals_inner: int = 200
 
     def __post_init__(self):
-        GFunctionSpec(self.a)  # raises unless every a_k > 0
+        GFunctionSpec(self.a)  # raises unless every a_k is finite and > 0
         _check_names(self.family)
         if not set(self.methods) <= set(_METHODS):
             raise ValueError(f"unknown method in {self.methods}")
@@ -317,7 +316,8 @@ class PathsBenchConfig:
     rlm_max_evals_inner: int = 200
 
     def __post_init__(self):
-        _check_params(self.family, self.true_variance, self.true_lengthscale)
+        _check_names(self.family)
+        _check_params(self.true_variance, self.true_lengthscale)
         _check_unique(self, "dims")
         _check_minima(self, dims=1, n_paths=0, points_per_dim=2, rlm_iterations=1, master_seed=0,
                       lhs_steps=0, ulm_max_evals=1, rlm_max_evals_inner=1)

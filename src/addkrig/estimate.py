@@ -37,7 +37,7 @@ from scipy.linalg.lapack import dpotri, dpotrs
 from ._lbfgsb import minimize
 from .gp import Dataset, _write_csv
 from .gp import _factor as cholesky
-from .kernels import AdditiveKernel, _check_names, _check_params, _corr
+from .kernels import AdditiveKernel, _check_names, _check_noise, _check_params, _corr
 
 __all__ = [
     "HyperParams",
@@ -63,8 +63,7 @@ class HyperParams(AdditiveKernel):
 
     def __init__(self, variances, lengthscales, noise, family="gaussian", composition="additive"):
         super().__init__(family, variances, lengthscales, composition)
-        if not (math.isfinite(noise) and noise >= 0):
-            raise ValueError(f"noise variance must be finite and >= 0, got {noise}")
+        _check_noise(noise)
         object.__setattr__(self, "noise", noise)
 
 
@@ -107,9 +106,9 @@ class HyperBounds:
             raise ValueError(f"every bound must be a finite number, got {self}")
         if any(not lo <= hi for lo, hi in boxes):
             raise ValueError(f"every box needs lower <= upper, got {self}")
-        # The objective is defined for theta > 0 and sigma^2, tau^2 >= 0 only.
-        if self.lengthscale[0] <= 0 or self.variance[0] < 0 or self.noise[0] < 0:
-            raise ValueError(f"boxes need lengthscale > 0 and variance, noise >= 0, got {self}")
+        # A valid lower corner makes every point of the box valid, so the objective need not check.
+        _check_params(self.variance[0], self.lengthscale[0])
+        _check_noise(self.noise[0])
 
     def box(self, d: int, composition: str = "additive") -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) float arrays over the optimization vector that :func:`_split` reads:
@@ -142,7 +141,8 @@ class _Likelihood:
 
     One Cholesky factorization per call; gradient entries are <W, dK/dp> with W = K^-1 -
     alpha alpha^T (Rasmussen & Williams 2006, 5.4.1); dK/dtheta_i is the covariance term
-    holding theta_i times q_i = d log r_i / d theta_i."""
+    holding theta_i times q_i = d log r_i / d theta_i.  It checks no parameter: each comes from a
+    checked HyperParams or from L-BFGS-B inside a HyperBounds box, all of whose points are valid."""
 
     def __init__(self, dataset: Dataset):
         self.Y = dataset.Y
@@ -172,8 +172,6 @@ class _Likelihood:
         return self._evaluate(p.family, p.composition, p.variances, p.lengthscales, p.noise)
 
     def _evaluate(self, family, composition, variances, lengthscales, noise):
-        for v, t in zip(variances.tolist(), lengthscales.tolist()):
-            _check_params(family, v, t)
         R, q = _corr(family, self.dist, lengthscales[:, None, None], dlog=True, out=self._buf)
         if composition == "additive":
             K = variances[0] * R[0]
@@ -201,7 +199,6 @@ class _Likelihood:
 
         def value_and_grad(x):
             v, t, noise = x.tolist()
-            _check_params(family, v, t)
             R, q = _corr(family, dist, t, dlog=True, out=buf)
             K = v * R
             K += K_rest
@@ -344,7 +341,7 @@ def estimate_rlm(
     # At sigma_l = 0 the objective is flat in theta_l and can be locally uphill
     # in sigma_l, stalling the quasi-Newton step at the saddle; the first visit
     # to a direction therefore starts with a small variance kick.
-    sigma_kick = 0.05 * hb.variance[1] / 10.0 if hb.variance[1] > 0 else 0.0
+    sigma_kick = 0.05 * hb.variance[1] / 10.0
 
     # Each inner problem is a one-direction additive model: (sigma_l^2, theta_l, tau^2).
     inner_box = hb.box(1)
@@ -369,9 +366,9 @@ def estimate_rlm(
             # else: keep the incumbent; the kicked start found nothing better.
             converged = converged and res.converged
             trace.add(k, l + 1, res.n_calls, current, noise)
-        if k >= 2 and np.isfinite(cycle_start):
-            if (cycle_start - current) < 1e-6 * max(1.0, abs(cycle_start)):
-                break
+        # False in cycle 1 (inf < inf); after it current is finite: minimize returns a real value.
+        if (cycle_start - current) < 1e-6 * max(1.0, abs(cycle_start)):
+            break
 
     params = HyperParams(variances, lengthscales, noise, family)
     return EstimationResult(params, trace, current, converged)

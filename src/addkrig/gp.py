@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .kernels import AdditiveKernel, cov_matrix, cross_cov, double_integral_univariate, integral_univariate
+from .kernels import (AdditiveKernel, _check_noise, cov_matrix, cross_cov, double_integral_univariate,
+                      integral_univariate)
 
 __all__ = [
     "Dataset",
@@ -171,7 +171,6 @@ class CholeskyFailure(Exception):
 
 def detect_degenerate_design(kernel: AdditiveKernel, X) -> DegeneracyReport:
     """Diagnose rank deficiency of cov_matrix(kernel, X, 0) via pivoted Cholesky."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     K = cov_matrix(kernel, X, 0.0)
     n = K.shape[0]
     # A diagnosis, not a decision: looser than _factor's pivot test, so every
@@ -280,6 +279,7 @@ def fit_gp(kernel: AdditiveKernel, dataset: Dataset, noise: float = 0.0) -> Fitt
     """
     if kernel.dims != dataset.d:
         raise ValueError("kernel dims do not match dataset dimension")
+    _check_noise(noise)
     try:
         L = _factor(cov_matrix(kernel, dataset.X), noise)
     except np.linalg.LinAlgError:
@@ -293,9 +293,7 @@ def _factor(K: np.ndarray, diag: float) -> np.ndarray:
     """Lower Cholesky factor L of K + diag I, in place (the symmetric C-ordered K becomes L in
     Fortran order): the one factorization and singularity test of fit_gp, the likelihood and GP
     paths.  LinAlgError when a leading minor is not positive definite or a squared pivot is at
-    most 1e-12 tr(K + diag I)/n; ValueError for a diag that is NaN, infinite or negative."""
-    if not (math.isfinite(diag) and diag >= 0):
-        raise ValueError(f"noise variance must be finite and >= 0, got {diag}")
+    most 1e-12 tr(K + diag I)/n.  ``diag`` is trusted: each caller checks it where it enters."""
     diagonal = np.einsum("ii->i", K)  # a writable view
     diagonal += diag
     trace = diagonal.sum()  # taken first: the factorization overwrites K

@@ -47,14 +47,18 @@ def _check_names(family: str = "gaussian", composition: str = "additive") -> Non
         raise ValueError(f"unknown composition {composition!r}")
 
 
-def _check_params(family: str, variance: float, lengthscale: float) -> None:
-    """Reject parameters no kernel accepts: scalar tests, cheap enough for every likelihood call."""
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown kernel family {family!r}")
+def _check_params(variance: float, lengthscale: float) -> None:
+    """Reject a variance or lengthscale no kernel accepts: the one home of that rule."""
     if not (math.isfinite(variance) and variance >= 0):
         raise ValueError(f"variance must be finite and >= 0, got {variance}")
     if not (math.isfinite(lengthscale) and lengthscale > 0):
         raise ValueError(f"lengthscale must be finite and > 0, got {lengthscale}")
+
+
+def _check_noise(noise: float) -> None:
+    """Reject a noise variance tau^2 no covariance accepts: the one home of that rule."""
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise variance must be finite and >= 0, got {noise}")
 
 
 def _corr(family: str, r, theta, dlog: bool = False, out=None):
@@ -97,7 +101,8 @@ class UnivariateKernel:
     lengthscale: float
 
     def __post_init__(self):
-        _check_params(self.family, self.variance, self.lengthscale)
+        _check_names(self.family)
+        _check_params(self.variance, self.lengthscale)
 
     def corr(self, x, y):
         """Unit-variance correlation r(x, y); broadcasts over arrays."""
@@ -129,7 +134,7 @@ class AdditiveKernel:
         if v.ndim != 1 or v.shape != t.shape or not len(v):
             raise ValueError(f"need equal non-empty 1-d variances and lengthscales, got {v.shape}, {t.shape}")
         for pair in zip(v.tolist(), t.tolist()):
-            _check_params(self.family, *pair)
+            _check_params(*pair)
         for name, a in (("variances", v), ("lengthscales", t)):
             a.flags.writeable = False  # checked once, so never changed afterwards
             object.__setattr__(self, name, a)
@@ -188,13 +193,11 @@ def cross_cov(kernel: AdditiveKernel, X, Y) -> np.ndarray:
 
 
 def cov_matrix(kernel: AdditiveKernel, X, noise: float = 0.0) -> np.ndarray:
-    """Symmetric covariance matrix of a design, with noise^2 added on the diagonal.
+    """Symmetric covariance matrix of a design, with the noise variance added on the diagonal.
 
     ``noise`` is the observation-noise variance tau^2 (not a standard deviation).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if noise < 0:
-        raise ValueError("noise variance must be >= 0")
+    _check_noise(noise)
     # Exactly symmetric: |x_i - x_j| is |x_j - x_i| and every later operation is elementwise.
     K = cross_cov(kernel, X, X)
     if noise:

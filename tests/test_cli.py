@@ -347,7 +347,7 @@ MALFORMED_INPUTS = {
         "predict", "--model", _model_file(t, lambda o: [o]), "--points", _write(t / "p.csv", "0.5,0.5\n")],
     "null-noise": lambda t, d: [
         "predict", "--model", _model_file(t, lambda o: {**o, "noise": None}), "--points", _write(t / "p.csv", "0.5,0.5\n")],
-    "nan-noise": lambda t, d: [  # json reads NaN; the factorization's own check refuses it
+    "nan-noise": lambda t, d: [  # json reads NaN; fit_gp's noise check refuses it
         "predict", "--model", _model_file(t, lambda o: {**o, "noise": float("nan")}), "--points", _write(t / "p.csv", "0.5,0.5\n")],
     "null-dims": lambda t, d: ["effects", "--model", _model_file(t, _kernel_edit(dims=None))],
     "text-n-paths": lambda t, d: ["bench", "paths", "--config", _write(t / "c.json", '{"n_paths": "abc"}')],
@@ -384,6 +384,8 @@ MALFORMED_INPUTS = {
         "bench", "paths", "--config", _write(t / "c.json", '{"true_variance": 1%s}' % ("0" * 400))],
     "bool-a": lambda t, d: ["bench", "gfunction", "--config", _write(t / "c.json", '{"a": [true, 0.5]}')],
     "bench-empty-a": lambda t, d: ["bench", "gfunction", "--config", _write(t / "c.json", '{"a": []}')],
+    "nan-a": lambda t, d: ["bench", "gfunction", "--config", _write(t / "c.json", '{"a": [NaN, 2.0]}')],
+    "infinite-a": lambda t, d: ["bench", "gfunction", "--config", _write(t / "c.json", '{"a": [Infinity, 2.0]}')],
     "list-family": lambda t, d: [
         "effects", "--model", _model_file(t, _kernel_edit(family=["gaussian", "gaussian"]))],
     "fit-misspelled-key": lambda t, d: [

@@ -23,7 +23,7 @@ from addkrig import (
 import addkrig
 from addkrig import _lbfgsb, bench, cli, estimate, gp, kernels
 from addkrig._lbfgsb import minimize
-from addkrig.bench import lhs_maximin, sample_gp_path
+from addkrig.bench import GFunctionSpec, g_function, lhs_maximin, sample_gp_path
 from addkrig.estimate import _Likelihood, nll_value_and_grad, write_traces
 from addkrig.gp import fit_gp
 from addkrig.kernels import _corr, cov_matrix
@@ -428,26 +428,11 @@ BAD_POINTS = [  # (variance, lengthscale, tau^2) outside the objective's domain
 
 class TestPerCallValidation:
     @pytest.mark.parametrize("v, t, noise", BAD_POINTS)
-    def test_direction_rejects(self, v, t, noise):
-        vg = _Likelihood(random_dataset(6, 2, 53)).direction(1, HyperParams([0.5, 0.0], [0.4, 0.5], 0.1))
-        with pytest.raises(ValueError):
-            vg(np.array([v, t, noise]))
-
-    @pytest.mark.parametrize("v, t, noise", BAD_POINTS)
     @pytest.mark.parametrize("comp", ["additive", "tensor"])
     def test_nll_value_and_grad_rejects(self, v, t, noise, comp):
         ds = random_dataset(6, 2, 54)
         with pytest.raises(ValueError):
             nll_value_and_grad(HyperParams([v, 1.0], [0.4, t], noise, "matern32", comp), ds)
-
-    @pytest.mark.parametrize("v, t, noise", BAD_POINTS)
-    @pytest.mark.parametrize("comp", ["additive", "tensor"])
-    def test_ulm_objective_rejects(self, v, t, noise, comp):
-        # The optimizer's vector reaches the engine without a HyperParams, so the engine checks it.
-        vg = ulm_objective(random_dataset(6, 2, 54), "matern32", comp)
-        x = [v, 1.0, 0.4, t, noise] if comp == "additive" else [v, 0.4, t, noise]
-        with pytest.raises(ValueError):
-            vg(np.array(x))
 
     def test_domain_edge_is_accepted(self):
         # Zero variances and zero noise are evaluable when K stays positive definite.
@@ -457,6 +442,68 @@ class TestPerCallValidation:
         vg = _Likelihood(ds).direction(0, HyperParams([0.0, 0.5], [0.4, 0.5], 0.1))
         for x in ([0.0, 0.4, 0.1], [1.0, 0.4, 0.0]):
             assert np.isfinite(vg(np.array(x))[0])
+
+
+def gfunction_dataset():
+    """The g-function on a maximin design of the g-function study's size, centered as it is there."""
+    X = lhs_maximin(40, 4, seed=1000, n_improvement_steps=200)
+    y = g_function(X, GFunctionSpec((1.0, 2.0, 3.0, 4.0)))
+    return Dataset(X, y - np.mean(y))
+
+
+# The study fits: a GP path of each paths-study size and a g-function design.
+STUDY_DATA = {
+    "paths-d3": lambda: study_dataset(30, 3),
+    "paths-d6": lambda: study_dataset(60, 6),
+    "gfunction": gfunction_dataset,
+}
+FITS = {  # two RLM cycles: the early stop cannot cut the second, so the inner runs are 2d
+    "rlm": lambda ds, fam, budget: estimate_rlm(ds, fam, n_iterations=2, max_evals_inner=budget),
+    "ulm-additive": lambda ds, fam, budget: estimate_ulm(ds, fam, "additive", max_evals=budget),
+    "ulm-tensor": lambda ds, fam, budget: estimate_ulm(ds, fam, "tensor", max_evals=budget),
+}
+
+
+class TestChecksAtEntry:
+    # A parameter is checked where it enters, by HyperParams or HyperBounds; the objective trusts it.
+    @pytest.mark.parametrize("data", sorted(STUDY_DATA))
+    @pytest.mark.parametrize("fit", sorted(FITS))
+    def test_objective_sees_only_points_of_its_box(self, fit, data, monkeypatch):
+        seen, real = [], estimate.minimize
+
+        def recording(value_and_grad, lower, upper, start, **kwargs):
+            def record(x):
+                seen.append((np.all(lower <= x) and np.all(x <= upper), np.any((x == lower) | (x == upper))))
+                return value_and_grad(x)
+            return real(record, lower, upper, start, **kwargs)
+
+        monkeypatch.setattr(estimate, "minimize", recording)
+        fam = "matern32" if data == "gfunction" else "gaussian"
+        res = FITS[fit](STUDY_DATA[data](), fam, 5000 if fit.startswith("ulm") else 200)
+        assert len(seen) == res.trace.total_calls > 50
+        inside, on_edge = np.array(seen).T
+        assert inside.all()
+        assert on_edge.any()  # the box's faces are reached, not only its interior
+
+    @pytest.mark.parametrize("fit", sorted(FITS))
+    def test_parameter_checks_do_not_grow_with_the_call_budget(self, fit, monkeypatch):
+        # Each check is counted under every name it is bound to, as kernel builds are counted in
+        # test_objective_builds_no_kernel_objects.
+        checks = []
+        for module in (kernels, estimate, gp, bench):
+            for name in ("_check_names", "_check_params", "_check_noise"):
+                if hasattr(module, name):
+                    real = getattr(module, name)
+                    monkeypatch.setattr(module, name, lambda *a, _real=real, **k: checks.append(1) or _real(*a, **k))
+        ds = study_dataset(30, 3)
+        counted = []
+        for budget in (20, 400):
+            checks.clear()
+            calls = FITS[fit](ds, "gaussian", budget).trace.total_calls
+            counted.append((len(checks), calls))
+        (few_checks, few_calls), (more_checks, more_calls) = counted
+        assert more_calls > few_calls
+        assert more_checks == few_checks > 0
 
 
 class TestHyperParamsValidation:

@@ -162,6 +162,11 @@ class TestCovMatrix:
         assert M.shape == (1, 1)
         assert M[0, 0] == pytest.approx(2.1)
 
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, -1e-6])
+    def test_rejects_noise_no_covariance_accepts(self, noise):
+        with pytest.raises(ValueError, match="noise variance"):
+            cov_matrix(make_kernel("gaussian", [1.0], [0.5]), [[0.2], [0.7]], noise)
+
     def test_rectangle_rank_deficiency(self):
         # Three rectangle corners plus the implied fourth: the fourth column is
         # col2 + col3 - col1.
