@@ -53,8 +53,9 @@ def minimize(value_and_grad, lower, upper, start, max_evals: int = 1000) -> OptR
     raises ``np.linalg.LinAlgError`` marks an infeasible point: L-BFGS-B is fed a large finite
     sentinel with a retreating gradient instead, and a non-finite f the sentinel with a zero
     gradient.  Returns the best point evaluated (never worse than the start), and raises
-    ``LinAlgError`` when no call succeeded; ``converged`` is False only when the budget ran out
-    before L-BFGS-B converged.
+    ``LinAlgError`` when no call succeeded.  ``converged`` is True only when ``setulb`` ends in
+    CONVERGENCE, as scipy's ``success``: a run stopped by the budget or by a failed line search
+    (ABNORMAL) has not converged.
 
     ``setulb`` sizes nothing itself: it reads n off ``x`` and trusts every other array, so the
     shapes are checked here, and each gradient's shape, before an array reaches it."""
@@ -104,5 +105,4 @@ def minimize(value_and_grad, lower, upper, start, max_evals: int = 1000) -> OptR
             break
     if best_x is None:
         raise np.linalg.LinAlgError("objective never evaluated successfully")
-    return OptResult(np.clip(best_x, lower, upper), best_f, n_calls,
-                     bool(task[0] == _CONVERGENCE) or n_calls < max_evals)
+    return OptResult(np.clip(best_x, lower, upper), best_f, n_calls, bool(task[0] == _CONVERGENCE))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .estimate import default_bounds, estimate_rlm, estimate_ulm
 from .gp import Dataset, _factor, _write_csv, _write_json, fit_gp, predict_mean
-from .kernels import AdditiveKernel, _check_names, _check_params, cov_matrix, make_kernel
+from .kernels import AdditiveKernel, _check_design, _check_names, _check_params, cov_matrix, make_kernel
 
 __all__ = [
     "GFunctionSpec",
@@ -66,11 +66,8 @@ def g_function(x, spec: GFunctionSpec):
 
     Accepts a single d-vector or an (m, d) batch.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if pts.shape[1] != spec.d:
-        raise ValueError("point dimension does not match coefficients")
+    single = np.ndim(x) == 1
+    pts = _check_design(x, spec.d)
     if np.any(pts < 0) or np.any(pts > 1):
         raise ValueError("g-function inputs must lie in [0, 1]^d")
     vals = np.prod((np.abs(4.0 * pts - 2.0) + spec.a) / (1.0 + spec.a), axis=1)
@@ -134,7 +131,7 @@ def lhs_maximin(n: int, d: int, seed: int = 0, n_improvement_steps: int = 10000)
     when the pair (a, b) at the current minimum involves neither row, that
     minimum survives, the exchange cannot raise it and it is rejected without
     computing any distance.  Only exchanges that touch (a, b) are evaluated;
-    the proposals are drawn exactly as before, so the designs are unchanged.
+    every step draws its proposal, rejected or not, so a design depends only on its seed.
     """
     if n < 2:
         raise ValueError("need at least two design points")

@@ -163,8 +163,11 @@ def cmd_predict(args) -> int:
     if cfg["model"] is None or cfg["points"] is None:
         raise InputError("predict requires --model and --points")
     model = _load_model(cfg["model"])
-    pts = _load_points(cfg["points"], model.dataset.d)
-    _write_csv(_out_dir(cfg) / "predictions.csv", ["mean", "variance"], zip(*_pass(model, pts, 2)))
+    try:
+        mean, variance = _pass(model, _read_csv(cfg["points"])[1], 2)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot use points file {cfg['points']}: {exc}") from None
+    _write_csv(_out_dir(cfg) / "predictions.csv", ["mean", "variance"], zip(mean, variance))
     return EXIT_OK
 
 
@@ -173,18 +176,6 @@ def _load_model(path) -> FittedGP:
         return FittedGP.load(path)
     except (OSError, ValueError, KeyError) as exc:
         raise InputError(f"cannot load model: {exc}") from None
-
-
-def _load_points(path, d) -> np.ndarray:
-    try:
-        _, pts = _read_csv(path)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read points file {path}: {exc}") from None
-    if pts.ndim != 2 or pts.shape[1] != d:
-        raise InputError(f"points have dimension {pts.shape[-1] if pts.size else 0}, model expects {d}")
-    if not np.all(np.isfinite(pts)):
-        raise InputError(f"points file {path} contains non-finite values")
-    return pts
 
 
 def cmd_effects(args) -> int:

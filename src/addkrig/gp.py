@@ -26,8 +26,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .kernels import (AdditiveKernel, _check_noise, cov_matrix, cross_cov, double_integral_univariate,
-                      integral_univariate)
+from .kernels import (AdditiveKernel, _check_design, _check_noise, cov_matrix, cross_cov,
+                      double_integral_univariate, integral_univariate)
 
 __all__ = [
     "Dataset",
@@ -277,8 +277,6 @@ def fit_gp(kernel: AdditiveKernel, dataset: Dataset, noise: float = 0.0) -> Fitt
     :class:`CholeskyFailure` carrying the :class:`DegeneracyReport`, and the
     caller decides whether to drop points or pass an explicit noise variance.
     """
-    if kernel.dims != dataset.d:
-        raise ValueError("kernel dims do not match dataset dimension")
     _check_noise(noise)
     try:
         L = _factor(cov_matrix(kernel, dataset.X), noise)
@@ -312,20 +310,15 @@ def _query_points(gp: FittedGP, x, direction: int | None) -> tuple[bool, np.ndar
     """(whether x is one point, m x dims batch): points of the model's d coordinates or, with
     ``direction``, a scalar or 1-d array of that direction's coordinate."""
     x = np.asarray(x, dtype=float)
-    d = gp.kernel.dims
-    if direction is not None and not gp.kernel.is_additive:
+    if direction is None:
+        return x.ndim == 1, _check_design(x, gp.kernel.dims)
+    if not gp.kernel.is_additive:
         raise ValueError("sub-models are only defined for additive composition")
-    if direction is not None and not 0 <= direction < d:
+    if not 0 <= direction < gp.kernel.dims:
         raise ValueError("direction index out of range")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("query points must be finite")
-    if direction is not None:
-        if x.ndim > 1:
-            raise ValueError(f"query points have shape {x.shape}, a direction takes a scalar or a 1-d array")
-        return x.ndim == 0, x.reshape(-1, 1)
-    if x.ndim > 2 or np.atleast_2d(x).shape[1] != d:
-        raise ValueError(f"query points have shape {x.shape}, model expects dimension {d}")
-    return x.ndim == 1, np.atleast_2d(x)
+    if x.ndim > 1:
+        raise ValueError(f"query points have shape {x.shape}, a direction takes a scalar or a 1-d array")
+    return x.ndim == 0, _check_design(x.reshape(-1, 1), 1)
 
 
 # Query rows per cross-covariance block: prediction and effects hold O(_BLOCK * n)

@@ -61,6 +61,17 @@ def _check_noise(noise: float) -> None:
         raise ValueError(f"noise variance must be finite and >= 0, got {noise}")
 
 
+def _check_design(X, d: int) -> np.ndarray:
+    """X as a 2-d float array, a 1-d X being one point: the one home of the rule that a point
+    array has d columns and only finite entries.  ValueError when it does not."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.ndim != 2 or X.shape[1] != d:
+        raise ValueError(f"points have shape {X.shape}, need {d} columns")
+    if not np.isfinite(X).all():
+        raise ValueError("points must be finite")
+    return X
+
+
 def _corr(family: str, r, theta, dlog: bool = False, out=None):
     """Unit-variance correlation at distances r = |x - y|; with ``dlog`` also q = d log corr /
     d theta, r^2/theta^3 (Gaussian) or s^2/((1+s) theta) (Matern 3/2), finite where corr is 0.
@@ -169,11 +180,8 @@ _CHUNK = 2**15
 
 
 def cross_cov(kernel: AdditiveKernel, X, Y) -> np.ndarray:
-    """Covariance matrix K(x^(i), y^(j)) between two designs (n x d, m x d)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if X.shape[1] != kernel.dims or Y.shape[1] != kernel.dims:
-        raise ValueError("design dimension does not match kernel dims")
+    """The m x n covariance K(x^(i), y^(j)) of designs X (m x d) and Y (n x d), each checked by _check_design."""
+    X, Y = _check_design(X, kernel.dims), _check_design(Y, kernel.dims)
     m, n = len(X), len(Y)
     out = np.zeros((m, n)) if kernel.is_additive else np.full((m, n), kernel.prior_variance)
     rows = max(1, _CHUNK // max(n, 1))

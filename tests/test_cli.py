@@ -166,16 +166,21 @@ class TestPredict:
     def test_dimension_mismatch(self, tmp_path, model_path):
         path, _ = model_path
         pts = tmp_path / "bad.csv"
-        pts.write_text("0.5\n")
-        assert main(["predict", "--model", str(path), "--points", str(pts),
-                     "--out", str(tmp_path / "o")]) == EXIT_INPUT
+        for text in ("0.5\n", "0.5,0.5,0.5\n", "", "x1,x2\n"):  # the last two have no columns
+            pts.write_text(text)
+            assert main(["predict", "--model", str(path), "--points", str(pts),
+                         "--out", str(tmp_path / "o")]) == EXIT_INPUT
+            assert not (tmp_path / "o").exists()
 
-    def test_non_finite_points(self, tmp_path, model_path):
+    def test_non_finite_points(self, tmp_path, model_path, capsys):
         path, _ = model_path
-        pts = tmp_path / "nan.csv"
-        pts.write_text("0.5,0.5\nnan,0.2\n")
-        assert main(["predict", "--model", str(path), "--points", str(pts),
-                     "--out", str(tmp_path / "o")]) == EXIT_INPUT
+        pts = tmp_path / "bad.csv"
+        for row in ("nan,0.2", "0.2,inf", "-inf,0.2"):
+            pts.write_text(f"0.5,0.5\n{row}\n")
+            assert main(["predict", "--model", str(path), "--points", str(pts),
+                         "--out", str(tmp_path / "o")]) == EXIT_INPUT
+            assert not (tmp_path / "o").exists()
+            assert f"cannot use points file {pts}: points must be finite" in capsys.readouterr().err
 
     def test_unknown_schema_version(self, tmp_path, model_path):
         path, _ = model_path

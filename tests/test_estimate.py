@@ -753,8 +753,7 @@ def scipy_optimize_local(value_and_grad, lower, upper, start, max_evals=1000):
 
     res = scipy.optimize.minimize(wrapped, start, jac=True, method="L-BFGS-B",
                                   bounds=list(zip(lower, upper)), options={"maxfun": max_evals})
-    exhausted = n_calls >= max_evals and not res.success
-    return _lbfgsb.OptResult(np.clip(best["x"], lower, upper), best["f"], n_calls, not exhausted)
+    return _lbfgsb.OptResult(np.clip(best["x"], lower, upper), best["f"], n_calls, bool(res.success))
 
 
 def assert_same_run(value_and_grad, lower, upper, start, max_evals=1000):
@@ -812,6 +811,18 @@ class TestScipyOracle:
     def test_budget_exhaustion(self):
         for k in (1, 2, 3, 4, 5):
             assert not assert_same_run(quartic, *as_box([(-5.0, 5.0)] * 4), [4.0] * 4, k).converged
+
+    @pytest.mark.parametrize("vg", [
+        lambda x: (float(x @ x), -2.0 * x),  # the gradient points uphill
+        lambda x: (float(x @ x + 1e-3 * np.sum(np.sin(1e6 * x))), 2.0 * x),  # blind to the ripple
+    ], ids=["uphill-gradient", "rippled-value"])
+    def test_failed_line_search_has_not_converged(self, vg):
+        # setulb ends both runs ABNORMAL, well inside the budget; scipy reports success=False.
+        lower, upper = as_box([(-1.0, 1.0)] * 2)
+        want = scipy.optimize.minimize(vg, [0.5, 0.3], jac=True, method="L-BFGS-B", bounds=list(zip(lower, upper)))
+        assert want.message.startswith("ABNORMAL")
+        got = assert_same_run(vg, lower, upper, [0.5, 0.3])
+        assert (got.converged, want.success) == (False, False)
 
     def test_sentinel_objective(self):
         vg = _Likelihood(Dataset(RECTANGLE, np.arange(4.0))).direction(0, HyperParams([0.0, 1.0], [0.6, 0.6], 0.0))

@@ -367,3 +367,46 @@ class TestInPlaceEvaluator:
         finally:
             tracemalloc.stop()
         assert peak < 1.1 * 2000 * 1000 * 8
+
+
+# Points refused by every function that takes them, as (points for d = 2, one direction's
+# coordinates): a direction takes a scalar or a 1-d array, so any 2-d array has the wrong columns.
+BAD_POINTS = {
+    "nan": ([[0.1, 0.2], [np.nan, 0.5]], [0.1, np.nan]),
+    "inf": ([[0.1, np.inf]], [np.inf, 0.5]),
+    "-inf": ([[0.3, 0.2], [-np.inf, 0.5]], [-np.inf]),
+    "three-columns": ([[0.1, 0.2, 0.3]], [[0.1, 0.2]]),
+    "three-dimensional": (np.full((2, 1, 2), 0.5), np.full((2, 1, 1), 0.5)),
+}
+
+
+def _point_takers():
+    """name -> (call on the points, whether the points are one direction's coordinates)."""
+    from addkrig import centered_effect, detect_degenerate_design, predict_mean, predict_var, sub_model
+    from addkrig.bench import GFunctionSpec, g_function, sample_gp_path
+
+    k = make_kernel("matern32", [1.0, 0.5], [0.4, 0.6])
+    good = np.array([[0.2, 0.4], [0.7, 0.1]])
+    gp = fit_gp(k, Dataset(good, [1.0, -1.0]), 1e-3)
+    return {
+        "cross_cov-X": (lambda x: cross_cov(k, x, good), False),
+        "cross_cov-Y": (lambda x: cross_cov(k, good, x), False),
+        "cov_matrix": (lambda x: cov_matrix(k, x), False),
+        "sample_gp_path": (lambda x: sample_gp_path(k, x), False),
+        "detect_degenerate_design": (lambda x: detect_degenerate_design(k, x), False),
+        "g_function": (lambda x: g_function(x, GFunctionSpec([1.0, 2.0])), False),
+        "predict_mean": (lambda x: predict_mean(gp, x), False),
+        "predict_var": (lambda x: predict_var(gp, x), False),
+        "sub_model": (lambda x: sub_model(gp, 1, x), True),
+        "centered_effect": (lambda x: centered_effect(gp, 1, x), True),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(BAD_POINTS))
+@pytest.mark.parametrize("name", sorted(_point_takers()))
+def test_points_without_d_finite_columns_are_refused(name, case):
+    # Warnings are errors under the test configuration, so arithmetic on a bad entry before the
+    # check fails the test too.
+    call, direction = _point_takers()[name]
+    with pytest.raises(ValueError):
+        call(np.asarray(BAD_POINTS[case][direction]))
