@@ -145,9 +145,7 @@ def lhs_maximin(n: int, d: int, seed: int = 0, n_improvement_steps: int = 10000)
         return X
 
     # Squared-distance matrix maintained incrementally across proposals.
-    diff = X[:, None, :] - X[None, :, :]
-    D = np.sum(diff * diff, axis=2)
-    np.fill_diagonal(D, np.inf)
+    D = np.array([_min_sq_dist_rows(X, i) for i in range(n)])
     current_min = D.min()
     a, b = divmod(int(D.argmin()), n)  # one row pair at the current minimum
 
@@ -178,7 +176,7 @@ def lhs_maximin(n: int, d: int, seed: int = 0, n_improvement_steps: int = 10000)
 def sample_gp_path(kernel: AdditiveKernel, X, seed: int = 0) -> np.ndarray:
     """Draw one GP path at the design: Y = L xi with L the (jittered) Cholesky factor."""
     K = cov_matrix(kernel, X, 0.0)
-    jitter = 1e-10 * np.trace(K) / K.shape[0]
+    jitter = 1e-10 * np.trace(K) / max(K.shape[0], 1)
     if jitter == 0.0:  # all variances zero: the path is identically zero
         return np.zeros(K.shape[0])
     try:

@@ -89,8 +89,6 @@ class Dataset:
         header = [h.strip().lower() for h in header]
         if not header or header[-1] != "y" or any(not h.startswith("x") for h in header[:-1]):
             raise ValueError("expected header x1,...,xd,y")
-        if not len(data):
-            raise ValueError(f"no data rows in {path}")
         if data.shape[1] != len(header):
             raise ValueError("row width does not match header")
         return cls(data[:, :-1], data[:, -1])
@@ -98,8 +96,8 @@ class Dataset:
 
 def _read_csv(path) -> tuple[list[str], np.ndarray]:
     """(header, rows) of a CSV file of numbers, blank lines skipped: the first row is the header
-    unless it reads as numbers (then the header is []), and the rows are one float array.
-    ValueError for an entry that is not a number or rows of unequal width."""
+    unless it reads as numbers (then the header is []), and the rows are one 2-d float array.
+    ValueError for no data rows, an entry that is not a number or rows of unequal width."""
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
     header = []
@@ -108,6 +106,8 @@ def _read_csv(path) -> tuple[list[str], np.ndarray]:
             [float(v) for v in rows[0]]
         except ValueError:
             header = rows.pop(0)
+    if not rows:
+        raise ValueError("no data rows")
     if len({len(r) for r in rows}) > 1:
         raise ValueError("rows of unequal width")
     return header, np.array([[float(v) for v in r] for r in rows], dtype=float)
@@ -154,8 +154,9 @@ class DegeneracyReport:
             return f"design is full rank ({self.rank})"
         lines = [f"design covariance has rank {self.rank}"]
         for j, c in zip(self.dependent_point_indices, self.coefficients):
+            tol = 1e-8 * np.abs(c).max(initial=0.0)  # terms below it are round-off: left out
             terms = " + ".join(
-                f"{w:+.3g}*Z(x[{p}])" for w, p in zip(c, self.pivot_indices)
+                f"{w:+.3g}*Z(x[{p}])" for w, p in zip(c, self.pivot_indices) if abs(w) > tol
             )
             lines.append(f"  Z(x[{j}]) = {terms} (almost surely)")
         return "\n".join(lines)
@@ -175,7 +176,7 @@ def detect_degenerate_design(kernel: AdditiveKernel, X) -> DegeneracyReport:
     n = K.shape[0]
     # A diagnosis, not a decision: looser than _factor's pivot test, so every
     # covariance that fit_gp refuses gets a non-empty report.
-    tol = 1e-8 * np.trace(K) / n
+    tol = 1e-8 * np.trace(K) / max(n, 1)
     # Rank-revealing Cholesky in natural row order, so the diagnosis names the redundant late
     # arrival: a column whose residual diagonal is at most tol is a dependent point.  Each round
     # takes the residuals of the undecided columns (j on) against the pivots; the leading ones
@@ -203,9 +204,10 @@ def detect_degenerate_design(kernel: AdditiveKernel, X) -> DegeneracyReport:
         if k < m:
             dependents.append(j)
             j += 1
-    block = K[np.ix_(pivots, pivots)]
-    coeffs = tuple(np.linalg.lstsq(block, K[pivots, j], rcond=None)[0] for j in dependents)
-    return DegeneracyReport(len(pivots), tuple(pivots), tuple(dependents), coeffs)
+    L = L[:len(pivots), :len(pivots)]  # K[pivots, pivots] = L L^T
+    C = solve_triangular(L, K[np.ix_(pivots, dependents)], lower=True, check_finite=False)
+    C = solve_triangular(L, C, trans="T", lower=True, check_finite=False)  # column k: coefficients[k]
+    return DegeneracyReport(len(pivots), tuple(pivots), tuple(dependents), tuple(C.T))
 
 
 @dataclass(frozen=True, eq=False)

@@ -97,6 +97,11 @@ class TestMainEffect:
         assert g_main_effect(0, 0.0, SPEC4) == pytest.approx(0.5)
         assert g_main_effect(1, 1.0, SPEC4) == pytest.approx(1.0 / 3.0)
 
+    @pytest.mark.parametrize("i", [-1, 4])
+    def test_direction_out_of_range(self, i):
+        with pytest.raises(ValueError, match="direction index out of range"):
+            g_main_effect(i, 0.5, SPEC4)
+
     def test_integrates_to_zero(self):
         # Split the quadrature at the kink of |4x - 2| so each panel is smooth.
         t, w = np.polynomial.legendre.leggauss(64)

@@ -10,7 +10,7 @@ from test_gp import RECT4, gauss2
 
 from addkrig import Dataset, FittedGP, centered_effect, fit_gp, make_kernel, sub_model
 from addkrig import gp as gp_mod
-from addkrig.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
+from addkrig.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_PARTIAL, main
 from addkrig.gp import _BLOCK as BLOCK
 from addkrig.kernels import cross_cov
 
@@ -163,14 +163,17 @@ class TestPredict:
             variance = float(list(csv.reader(fh))[1][1])
         assert variance > 1e-3
 
-    def test_dimension_mismatch(self, tmp_path, model_path):
+    def test_dimension_mismatch(self, tmp_path, model_path, capsys):
         path, _ = model_path
         pts = tmp_path / "bad.csv"
-        for text in ("0.5\n", "0.5,0.5,0.5\n", "", "x1,x2\n"):  # the last two have no columns
+        for text, reason in (("0.5\n", "points have shape (1, 1), need 2 columns"),
+                             ("0.5,0.5,0.5\n", "points have shape (1, 3), need 2 columns"),
+                             ("", "no data rows"), ("x1,x2\n", "no data rows")):
             pts.write_text(text)
             assert main(["predict", "--model", str(path), "--points", str(pts),
                          "--out", str(tmp_path / "o")]) == EXIT_INPUT
             assert not (tmp_path / "o").exists()
+            assert f"cannot use points file {pts}: {reason}\n" in capsys.readouterr().err
 
     def test_non_finite_points(self, tmp_path, model_path, capsys):
         path, _ = model_path
@@ -305,6 +308,17 @@ class TestBench:
         rows = (out / "report.csv").read_text().strip().splitlines()
         assert len(rows) == 3  # header + 2 methods x 1 path
 
+    def test_failed_paths_exit_partial(self, tmp_path, capsys):
+        # A zero true variance makes every path constant, so no path can be fitted.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"true_variance": 0.0, "n_paths": 2, "dims": [2],
+                                   "points_per_dim": 4, "lhs_steps": 5}))
+        out = tmp_path / "bench"
+        assert main(["bench", "paths", "--config", str(cfg), "--out", str(out)]) == EXIT_PARTIAL
+        assert capsys.readouterr().err.splitlines() == [
+            f"failed: d2-p00{p}: constant responses: nothing to estimate" for p in range(2)]
+        assert (out / "summary.json").is_file()
+
     def test_seed_flag_wins_and_is_echoed(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -411,6 +425,24 @@ MALFORMED_INPUTS = {
     "bool-noise": lambda t, d: ["effects", "--model", _model_file(t, lambda o: {**o, "noise": True})],
     "string-x": lambda t, d: [
         "effects", "--model", _model_file(t, lambda o: {**o, "x": [[str(v) for v in r] for r in o["x"]]})],
+    "fit-constant-y": lambda t, d: ["fit", "--data", _write(t / "c.csv", "x1,x2,y\n0.1,0.2,1\n0.5,0.6,1\n")],
+    "missing-config-file": lambda t, d: ["fit", "--data", str(d), "--config", str(t / "absent.json")],
+    "predict-without-points": lambda t, d: ["predict", "--model", _model_file(t, lambda o: o)],
+    "effects-without-model": lambda t, d: ["effects"],
+    "ragged-points": lambda t, d: [
+        "predict", "--model", _model_file(t, lambda o: o), "--points", _write(t / "p.csv", "0.5,0.5\n0.5\n")],
+    "list-kernel": lambda t, d: ["effects", "--model", _model_file(t, lambda o: {**o, "kernel": [o["kernel"]]})],
+}
+
+# The stderr text a case must print, where it is pinned: "error:" otherwise.
+MALFORMED_MESSAGES = {
+    "csv-without-rows": "e.csv: no data rows\n",
+    "fit-constant-y": "error: constant responses",
+    "missing-config-file": "error: cannot read config file",
+    "predict-without-points": "error: predict requires --model and --points",
+    "effects-without-model": "error: effects requires --model",
+    "ragged-points": "p.csv: rows of unequal width",
+    "list-kernel": "error: cannot load model: kernel description must be a JSON object",
 }
 
 
@@ -418,7 +450,7 @@ MALFORMED_INPUTS = {
 def test_malformed_input_is_an_input_error(case, tmp_path, data_csv, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(MALFORMED_INPUTS[case](tmp_path, data_csv)) == EXIT_INPUT
-    assert "error:" in capsys.readouterr().err
+    assert MALFORMED_MESSAGES.get(case, "error:") in capsys.readouterr().err
 
 
 def test_integral_float_runs_and_is_echoed_as_an_integer(tmp_path):

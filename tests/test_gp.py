@@ -372,6 +372,20 @@ class TestDegeneracyDetection:
             (want.rank, want.pivot_indices, want.dependent_point_indices)
         assert rep.describe() == want.describe()
         assert rep.is_degenerate
+        for c, c_want in zip(rep.coefficients, want.coefficients, strict=True):
+            np.testing.assert_allclose(c, c_want, atol=1e-10)
+
+    def test_corner_report_names_the_other_three_corners(self):
+        rep = detect_degenerate_design(SHORT_MATERN, corner_design(800))
+        assert rep.describe().splitlines()[1:] == \
+            ["  Z(x[799]) = -1*Z(x[796]) + +1*Z(x[797]) + +1*Z(x[798]) (almost surely)"]
+        assert len(rep.coefficients[0]) == 799  # describe() leaves out round-off terms only
+
+    def test_empty_design(self, recwarn):
+        rep = detect_degenerate_design(SHORT_MATERN, np.empty((0, 2)))
+        assert (rep.rank, rep.is_degenerate, rep.describe()) == (0, False, "design is full rank (0)")
+        assert sample_gp_path(SHORT_MATERN, np.empty((0, 2))).shape == (0,)
+        assert not recwarn.list
 
     def test_rectangle(self):
         rep = detect_degenerate_design(gauss2(), RECT4)
