@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# Through the package: ``from scipy.optimize._lbfgsb import setulb`` here made a cold start of the
-# benchmark's worker about 0.1 s slower (measured over alternated runs; the cause was not traced).
-from scipy.optimize import _lbfgsb as _scipy_lbfgsb
+
+from ._scipy import setulb
 
 # scipy's defaults: maxcor, ftol as factr, gtol, maxls and maxiter.
 _M = 10
@@ -74,8 +73,8 @@ def minimize(value_and_grad, lower, upper, start, max_evals: int = 1000) -> OptR
     best_x, best_f = None, np.inf
     while True:
         g = g.astype(np.float64)  # setulb may write into g: never hand it the cached array
-        _scipy_lbfgsb.setulb(_M, x, lower, upper, nbd, f, g, _FACTR, _PGTOL, wa, iwa, task, lsave,
-                             isave, dsave, _MAXLS, ln_task)
+        setulb(_M, x, lower, upper, nbd, f, g, _FACTR, _PGTOL, wa, iwa, task, lsave, isave, dsave,
+               _MAXLS, ln_task)
         if task[0] == _FG:
             if x_done is None or not np.array_equal(x, x_done):
                 x_done = x.copy()

@@ -30,7 +30,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotri, dpotrs
 
 # The one L-BFGS-B loop and the one factor-and-check helper, bound by name rather than wrapped
 # in a def, so that tests and the benchmark's tracer count and time the calls through them.
@@ -38,6 +37,7 @@ from ._lbfgsb import minimize
 from .gp import Dataset, _write_csv
 from .gp import _factor as cholesky
 from .kernels import AdditiveKernel, _check_names, _check_noise, _check_params, _corr
+from ._scipy import dpotri, dpotrs
 
 __all__ = [
     "HyperParams",

@@ -23,9 +23,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotrs
 
+from ._scipy import dpotrf, dpotrs, solve_triangular
 from .kernels import (AdditiveKernel, _check_design, _check_noise, cov_matrix, cross_cov,
                       double_integral_univariate, integral_univariate)
 
@@ -157,7 +156,7 @@ class DegeneracyReport:
             tol = 1e-8 * np.abs(c).max(initial=0.0)  # terms below it are round-off: left out
             terms = " + ".join(
                 f"{w:+.3g}*Z(x[{p}])" for w, p in zip(c, self.pivot_indices) if abs(w) > tol
-            )
+            ) or "0"
             lines.append(f"  Z(x[{j}]) = {terms} (almost surely)")
         return "\n".join(lines)
 
@@ -186,7 +185,7 @@ def detect_degenerate_design(kernel: AdditiveKernel, X) -> DegeneracyReport:
     L = np.zeros((n, n))  # the pivots' factor in its leading rows and columns
     while j < n:
         p = len(pivots)
-        W = solve_triangular(L[:p, :p], K[pivots, j:], lower=True, check_finite=False)
+        W = solve_triangular(L[:p, :p], K[pivots, j:])
         residual = K.diagonal()[j:] - np.einsum("ij,ij->j", W, W)
         skip = int(np.argmax(np.append(residual > tol, True)))
         dependents += range(j, j + skip)
@@ -205,8 +204,8 @@ def detect_degenerate_design(kernel: AdditiveKernel, X) -> DegeneracyReport:
             dependents.append(j)
             j += 1
     L = L[:len(pivots), :len(pivots)]  # K[pivots, pivots] = L L^T
-    C = solve_triangular(L, K[np.ix_(pivots, dependents)], lower=True, check_finite=False)
-    C = solve_triangular(L, C, trans="T", lower=True, check_finite=False)  # column k: coefficients[k]
+    C = solve_triangular(L, K[np.ix_(pivots, dependents)])
+    C = solve_triangular(L, C, trans=1)  # column k: coefficients[k]
     return DegeneracyReport(len(pivots), tuple(pivots), tuple(dependents), tuple(C.T))
 
 
@@ -360,7 +359,7 @@ def _pass(gp: FittedGP, x, rows: int, direction: int | None = None) -> tuple:
         k = cross_cov(kernel, pts[blk], X)
         out[0, blk] = offset + k @ gp.weights
         if rows >= 2:
-            v = solve_triangular(gp.factor, k.T, lower=True, check_finite=False)
+            v = solve_triangular(gp.factor, k.T)
             out[1, blk] = _clamp_var(kernel.prior_variance - np.sum(v * v, axis=0))
         if rows == 4:
             out[2, blk] = (k - I_i) @ gp.weights

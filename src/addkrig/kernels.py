@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
+
+from ._scipy import erf
 
 __all__ = [
     "UnivariateKernel",

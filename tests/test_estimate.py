@@ -399,13 +399,13 @@ class TestLapackPath:
         # which LAPACK refuses; sigma_0^2 = 1 gives K = r_0 + r_1, which the pivot test refuses.
         # A run started there hands setulb that point's (f, g) on its second call.
         vg = _Likelihood(Dataset(RECTANGLE, np.arange(4.0))).direction(0, HyperParams([0.0, 1.0], [0.6, 0.6], 0.0))
-        fed, real = [], _lbfgsb._scipy_lbfgsb.setulb
+        fed, real = [], _lbfgsb.setulb
 
         def recording(m, x, low, up, nbd, f, g, *rest):
             fed.append((x.copy(), float(f), g.copy()))
             return real(m, x, low, up, nbd, f, g, *rest)
 
-        monkeypatch.setattr(_lbfgsb._scipy_lbfgsb, "setulb", recording)
+        monkeypatch.setattr(_lbfgsb, "setulb", recording)
         for x in (np.array([0.0, 0.6, 0.0]), np.array([1.0, 0.6, 0.0])):
             with pytest.raises(np.linalg.LinAlgError):
                 vg(x)

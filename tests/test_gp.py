@@ -381,6 +381,11 @@ class TestDegeneracyDetection:
             ["  Z(x[799]) = -1*Z(x[796]) + +1*Z(x[797]) + +1*Z(x[798]) (almost surely)"]
         assert len(rep.coefficients[0]) == 799  # describe() leaves out round-off terms only
 
+    def test_rank_zero_report_writes_zero_for_an_all_zero_column(self):
+        rep = detect_degenerate_design(make_kernel("gaussian", [0.0, 0.0], [0.5, 0.5]), RECT3)
+        assert rep.describe().splitlines() == ["design covariance has rank 0"] + [
+            f"  Z(x[{j}]) = 0 (almost surely)" for j in range(3)]
+
     def test_empty_design(self, recwarn):
         rep = detect_degenerate_design(SHORT_MATERN, np.empty((0, 2)))
         assert (rep.rank, rep.is_degenerate, rep.describe()) == (0, False, "design is full rank (0)")
