@@ -219,8 +219,9 @@ class BenchmarkReport:
         return [r for r in self.records if r.method == method]
 
     def q2_stats(self, method: str) -> tuple[float, float]:
+        """Mean and sample sd of the method's Q2 values; the sd of one run is 0.0."""
         vals = np.array([r.q2 for r in self.by_method(method)])
-        return float(vals.mean()), float(vals.std(ddof=1))
+        return float(vals.mean()), float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
 
     def final_l(self, method: str, d: int | None = None) -> np.ndarray:
         recs = [r for r in self.by_method(method) if d is None or r.d == d]
@@ -238,8 +239,7 @@ class BenchmarkReport:
                 "median_l_final": float(np.median(ls)),
             }
             if not np.any(np.isnan(q2s)):
-                entry["mean_q2"] = float(np.mean(q2s))
-                entry["sd_q2"] = float(np.std(q2s, ddof=1)) if len(q2s) > 1 else 0.0
+                entry["mean_q2"], entry["sd_q2"] = self.q2_stats(m)
             out["methods"][m] = entry
         return out
 
@@ -319,19 +319,18 @@ class PathsBenchConfig:
 
 
 def _run(report, run_id, method, dataset, bounds, cfg, seed, score=None) -> None:
-    """Estimate ``method``'s hyperparameters on ``dataset`` with its responses centered and
-    record the run in ``report``, or record its failure.  ``score`` is a test sample (X, y):
-    the refit model's Q2 on it is recorded, and NaN without one."""
-    centered = Dataset(dataset.X, dataset.Y - np.mean(dataset.Y))
+    """Estimate ``method``'s hyperparameters on ``dataset``, whose mean the estimators remove as
+    fit_gp does (l_final is the centered responses' objective), and record the run in ``report``,
+    or its failure.  ``score`` is a test sample (X, y): the refit model's Q2 on it, else NaN."""
     try:
         if method == "rlm-additive":
             result = estimate_rlm(
-                centered, family=cfg.family, bounds=bounds,
+                dataset, family=cfg.family, bounds=bounds,
                 n_iterations=cfg.rlm_iterations, max_evals_inner=cfg.rlm_max_evals_inner,
             )
         else:  # "ulm-additive" or "ulm-tensor"
             result = estimate_ulm(
-                centered, family=cfg.family, composition=method.removeprefix("ulm-"),
+                dataset, family=cfg.family, composition=method.removeprefix("ulm-"),
                 bounds=bounds, max_evals=cfg.ulm_max_evals,
             )
         value = float("nan")

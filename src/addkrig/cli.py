@@ -136,18 +136,16 @@ def cmd_fit(args) -> int:
         dataset = Dataset.from_csv(cfg["data"])
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot load {cfg['data']}: {exc}") from None
-    out = _out_dir(cfg)
-
-    centered = Dataset(dataset.X, dataset.Y - np.mean(dataset.Y))
     try:
         bounds = default_bounds(dataset)
     except ValueError as exc:
         raise InputError(str(exc)) from None
+    out = _out_dir(cfg)
     if cfg["method"] == "rlm":
-        result = estimate_rlm(centered, family=cfg["kernel"], bounds=bounds,
+        result = estimate_rlm(dataset, family=cfg["kernel"], bounds=bounds,
                               n_iterations=cfg["iterations"])
     else:
-        result = estimate_ulm(centered, family=cfg["kernel"],
+        result = estimate_ulm(dataset, family=cfg["kernel"],
                               composition=cfg["composition"], bounds=bounds)
     fit_gp(result.params, dataset, result.params.noise).save(out / "model.json")
     write_traces(out / "trace.csv", {"fit": result.trace})

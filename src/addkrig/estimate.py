@@ -137,16 +137,16 @@ def default_bounds(dataset: Dataset) -> HyperBounds:
 
 
 class _Likelihood:
-    """The objective on one dataset, with its distances |x_i - x_j| built once as a d x n x n stack.
+    """The objective on a design X and responses Y, with its |x_i - x_j| built once as a d x n x n stack.
 
     One Cholesky factorization per call; gradient entries are <W, dK/dp> with W = K^-1 -
     alpha alpha^T (Rasmussen & Williams 2006, 5.4.1); dK/dtheta_i is the covariance term
     holding theta_i times q_i = d log r_i / d theta_i.  It checks no parameter: each comes from a
     checked HyperParams or from L-BFGS-B inside a HyperBounds box, all of whose points are valid."""
 
-    def __init__(self, dataset: Dataset):
-        self.Y = dataset.Y
-        X = np.ascontiguousarray(dataset.X.T)  # C-ordered slices keep every summation order
+    def __init__(self, X: np.ndarray, Y: np.ndarray):
+        self.Y = Y
+        X = np.ascontiguousarray(X.T)  # C-ordered slices keep every summation order
         self.dist = np.abs(X[:, :, None] - X[:, None, :])
         self._buf = np.empty_like(self.dist), np.empty_like(self.dist)  # every call's R and q
 
@@ -217,7 +217,7 @@ def nll_value_and_grad(params: HyperParams, dataset: Dataset) -> tuple[float, np
     alpha = K^-1 Y.  For the tensor composition the variance block collapses to
     the single overall variance (direction 0).
     """
-    return _Likelihood(dataset)(params)
+    return _Likelihood(dataset.X, dataset.Y)(params)
 
 
 def neg_log_likelihood(params: HyperParams, dataset: Dataset) -> float:
@@ -296,11 +296,12 @@ def estimate_ulm(
     max_evals: int = 5000,
 ) -> EstimationResult:
     """Joint likelihood maximization over all parameters at once: one L-BFGS-B run from the
-    midpoint of the box."""
+    midpoint of the box.  The responses' mean is removed first, as :func:`fit_gp` removes it,
+    so ``best_value`` is the objective of the centered responses."""
     _check_names(family, composition)
     d = dataset.d
     lower, upper = (bounds or default_bounds(dataset)).box(d, composition)
-    lik = _Likelihood(dataset)
+    lik = _Likelihood(dataset.X, dataset.Y - np.mean(dataset.Y))
 
     def objective(x):  # the vector read by _split, without building a HyperParams per call
         return lik._evaluate(family, composition, *_split(x, d, composition))
@@ -325,7 +326,8 @@ def estimate_rlm(
     noise until proven additive).  Cycle k visits each direction l in turn and
     re-optimizes (sigma_l^2, theta_l, tau^2) jointly, warm-started at the
     incumbent, for ``n_iterations`` cycles.  Stops early once a full cycle
-    improves the objective by less than 1e-6 in relative terms.
+    improves the objective by less than 1e-6 in relative terms.  The responses' mean is removed
+    first, as :func:`fit_gp` removes it: ``best_value`` is the centered responses' objective.
     """
     if n_iterations < 1:
         raise ValueError("n_iterations must be >= 1")
@@ -350,7 +352,7 @@ def estimate_rlm(
     current = np.inf
     converged = True
 
-    lik = _Likelihood(dataset)
+    lik = _Likelihood(dataset.X, dataset.Y - np.mean(dataset.Y))
 
     for k in range(1, n_iterations + 1):
         cycle_start = current

@@ -57,13 +57,14 @@ class Dataset:
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
+        if X.shape[0] < 1 or X.shape[-1] < 1:
+            raise ValueError("dataset needs at least one point and one input column")
+        X = _check_design(X, X.shape[-1])
         Y = np.asarray(self.Y, dtype=float).ravel()
         if X.shape[0] != Y.shape[0]:
             raise ValueError("X and Y must have the same number of rows")
-        if X.shape[0] < 1:
-            raise ValueError("dataset needs at least one point")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
-            raise ValueError("design and responses must be finite")
+        if not np.all(np.isfinite(Y)):
+            raise ValueError("responses must be finite")
         if np.any(X < -1e-12) or np.any(X > 1 + 1e-12):
             raise ValueError("design coordinates must lie in [0, 1]")
         if len(np.unique(X, axis=0)) != X.shape[0]:

@@ -306,6 +306,14 @@ class TestReport:
         assert sd == pytest.approx(np.std([0.9, 0.7], ddof=1))
         np.testing.assert_array_equal(rep.final_l("a"), [-5.0, -4.0])
 
+    def test_one_run_has_sd_zero_and_summary_reports_q2_stats(self):
+        rep = self.make_report()
+        rep.records.append(RunRecord("r3", "c", 2, 0, 0.6, 0.01, 90, -2.0))
+        assert rep.q2_stats("c") == (0.6, 0.0)  # no ddof=1 warning, which the suite makes an error
+        methods = rep.summary()["methods"]
+        for m in ("a", "c"):
+            assert (methods[m]["mean_q2"], methods[m]["sd_q2"]) == rep.q2_stats(m)
+
     def test_summary_skips_q2_when_nan(self):
         s = self.make_report().summary()
         assert "mean_q2" in s["methods"]["a"]

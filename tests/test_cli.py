@@ -426,6 +426,7 @@ MALFORMED_INPUTS = {
     "string-x": lambda t, d: [
         "effects", "--model", _model_file(t, lambda o: {**o, "x": [[str(v) for v in r] for r in o["x"]]})],
     "fit-constant-y": lambda t, d: ["fit", "--data", _write(t / "c.csv", "x1,x2,y\n0.1,0.2,1\n0.5,0.6,1\n")],
+    "fit-y-only": lambda t, d: ["fit", "--data", _write(t / "c.csv", "y\n1\n2\n")],
     "missing-config-file": lambda t, d: ["fit", "--data", str(d), "--config", str(t / "absent.json")],
     "predict-without-points": lambda t, d: ["predict", "--model", _model_file(t, lambda o: o)],
     "effects-without-model": lambda t, d: ["effects"],
@@ -438,6 +439,7 @@ MALFORMED_INPUTS = {
 MALFORMED_MESSAGES = {
     "csv-without-rows": "e.csv: no data rows\n",
     "fit-constant-y": "error: constant responses",
+    "fit-y-only": "c.csv: dataset needs at least one point and one input column",
     "missing-config-file": "error: cannot read config file",
     "predict-without-points": "error: predict requires --model and --points",
     "effects-without-model": "error: effects requires --model",
@@ -451,6 +453,7 @@ def test_malformed_input_is_an_input_error(case, tmp_path, data_csv, capsys, mon
     monkeypatch.chdir(tmp_path)
     assert main(MALFORMED_INPUTS[case](tmp_path, data_csv)) == EXIT_INPUT
     assert MALFORMED_MESSAGES.get(case, "error:") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # an input error writes nothing, not even the echo
 
 
 def test_integral_float_runs_and_is_echoed_as_an_integer(tmp_path):

@@ -146,7 +146,6 @@ class TestValueAndGrad:
     ], ids=["rlm", "ulm-additive", "ulm-tensor"])
     def test_one_factorization_per_objective_call(self, run, monkeypatch):
         ds = random_dataset(15, 3, 24)
-        centered = Dataset(ds.X, ds.Y - np.mean(ds.Y))
         calls = []
         real = estimate.cholesky
 
@@ -155,7 +154,7 @@ class TestValueAndGrad:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(estimate, "cholesky", counting)
-        res = run(centered)
+        res = run(ds)
         assert res.trace.total_calls > 0
         assert len(calls) == res.trace.total_calls
 
@@ -216,10 +215,13 @@ class TestLikelihoodEngine:
     @pytest.mark.parametrize("fam", ["gaussian", "matern32"])
     @pytest.mark.parametrize("comp", ["additive", "tensor"])
     def test_ulm_objective_is_bit_identical_to_nll_value_and_grad(self, fam, comp):
+        # estimate_ulm removes the responses' mean, so its objective is nll_value_and_grad's on
+        # the centered responses.
         d = 3
         ds = random_dataset(12, d, 35)
         rng = np.random.default_rng(36)
         vg = ulm_objective(ds, fam, comp)
+        ds = Dataset(ds.X, ds.Y - np.mean(ds.Y))
         box = HyperBounds((0.0, 2.0), (0.05, 1.0), (1e-6, 0.5)).box(d, comp)
         for _ in range(3):
             x = rng.uniform(*box)
@@ -233,7 +235,7 @@ class TestLikelihoodEngine:
         d = 4
         ds = random_dataset(14, d, 31)
         rng = np.random.default_rng(32)
-        lik = _Likelihood(ds)
+        lik = _Likelihood(ds.X, ds.Y)
         evaluated, real = [], estimate._corr
         monkeypatch.setattr(estimate, "_corr", lambda *a, **k: evaluated.append(1) or real(*a, **k))
         for _ in range(3):
@@ -284,7 +286,7 @@ class TestReusedBuffers:
                 v[1:] = 1.0
             return HyperParams(v, rng.uniform(0.05, 1.0, d), float(rng.uniform(1e-3, 0.3)), fam, comp)
 
-        lik = _Likelihood(ds)
+        lik = _Likelihood(ds.X, ds.Y)
         p0, p2 = params(), params()
         first, last = lik.direction(0, p0), lik.direction(d - 1, p2)
         add, tensor, x0, x2 = params(), params("tensor"), rng.uniform(0.1, 1.0, 3), rng.uniform(0.1, 1.0, 3)
@@ -294,10 +296,10 @@ class TestReusedBuffers:
         for f, arg in calls:
             value, grad = f(arg)
             if f is lik:
-                want_value, want_grad = _Likelihood(ds)(arg)
+                want_value, want_grad = _Likelihood(ds.X, ds.Y)(arg)
             else:
                 l, p = (0, p0) if f is first else (d - 1, p2)
-                want_value, want_grad = _Likelihood(ds).direction(l, p)(arg)
+                want_value, want_grad = _Likelihood(ds.X, ds.Y).direction(l, p)(arg)
             assert value == want_value
             np.testing.assert_array_equal(grad, want_grad)
 
@@ -357,7 +359,7 @@ class TestLapackPath:
         d = 3
         ds = random_dataset(n, d, 50 + n)
         rng = np.random.default_rng(51 + n)
-        lik = _Likelihood(ds)
+        lik = _Likelihood(ds.X, ds.Y)
         for rep in range(3):
             v, t = rng.uniform(0.0, 2.0, d), rng.uniform(0.02, 1.5, d)
             v[rep] = 0.0  # a direction RLM has not turned on yet
@@ -381,8 +383,9 @@ class TestLapackPath:
         # LAPACK's own refusal (info > 0), before the pivot test is reached.
         K = np.array([[1.0, 2.0], [2.0, 1.0]])
         assert dpotrf(K.T.copy(), lower=1)[1] > 0
+        ds = random_dataset(2, 1, 52)
         with pytest.raises(np.linalg.LinAlgError):
-            _Likelihood(random_dataset(2, 1, 52))._solve(K, 0.0)
+            _Likelihood(ds.X, ds.Y)._solve(K, 0.0)
 
     def test_singular_rectangle_raises_through_the_pivot_test(self):
         ds = Dataset(RECTANGLE, np.arange(4.0))
@@ -392,13 +395,13 @@ class TestLapackPath:
         with pytest.raises(np.linalg.LinAlgError):
             nll_value_and_grad(p, ds)
         with pytest.raises(np.linalg.LinAlgError):
-            _Likelihood(ds).direction(0, p)(np.array([1.0, 0.6, 0.0]))
+            _Likelihood(ds.X, ds.Y).direction(0, p)(np.array([1.0, 0.6, 0.0]))
 
     def test_optimize_local_turns_both_failures_into_the_sentinel(self, monkeypatch):
         # Direction 0 of the rectangle with sigma_1^2 = 1 fixed: sigma_0^2 = 0 leaves K = r_1,
         # which LAPACK refuses; sigma_0^2 = 1 gives K = r_0 + r_1, which the pivot test refuses.
         # A run started there hands setulb that point's (f, g) on its second call.
-        vg = _Likelihood(Dataset(RECTANGLE, np.arange(4.0))).direction(0, HyperParams([0.0, 1.0], [0.6, 0.6], 0.0))
+        vg = _Likelihood(RECTANGLE, np.arange(4.0)).direction(0, HyperParams([0.0, 1.0], [0.6, 0.6], 0.0))
         fed, real = [], _lbfgsb.setulb
 
         def recording(m, x, low, up, nbd, f, g, *rest):
@@ -439,7 +442,7 @@ class TestPerCallValidation:
         ds = random_dataset(6, 2, 55)
         for p in (HyperParams([0.0, 0.0], [0.4, 0.5], 0.1), HyperParams([1.0, 0.0], [0.4, 0.5], 0.0)):
             assert np.isfinite(nll_value_and_grad(p, ds)[0])
-        vg = _Likelihood(ds).direction(0, HyperParams([0.0, 0.5], [0.4, 0.5], 0.1))
+        vg = _Likelihood(ds.X, ds.Y).direction(0, HyperParams([0.0, 0.5], [0.4, 0.5], 0.1))
         for x in ([0.0, 0.4, 0.1], [1.0, 0.4, 0.0]):
             assert np.isfinite(vg(np.array(x))[0])
 
@@ -601,7 +604,7 @@ class TestTracerContract:
 
     def test_one_call_through_cholesky_per_objective_call(self, monkeypatch):
         ds = random_dataset(9, 3, 57)
-        lik = _Likelihood(ds)
+        lik = _Likelihood(ds.X, ds.Y)
         calls, real = [], estimate.cholesky
         monkeypatch.setattr(estimate, "cholesky", lambda *a, **k: calls.append(1) or real(*a, **k))
         for comp in ("additive", "tensor"):
@@ -825,7 +828,7 @@ class TestScipyOracle:
         assert (got.converged, want.success) == (False, False)
 
     def test_sentinel_objective(self):
-        vg = _Likelihood(Dataset(RECTANGLE, np.arange(4.0))).direction(0, HyperParams([0.0, 1.0], [0.6, 0.6], 0.0))
+        vg = _Likelihood(RECTANGLE, np.arange(4.0)).direction(0, HyperParams([0.0, 1.0], [0.6, 0.6], 0.0))
         res = assert_same_run(vg, *as_box([(0.0, 2.0), (0.1, 1.0), (0.0, 1.0)]), [1.0, 0.6, 0.5])
         assert res.value < _lbfgsb._SENTINEL
 
@@ -833,7 +836,7 @@ class TestScipyOracle:
     def test_rlm_directions_on_study_data(self, n, d):
         ds = study_dataset(n, d)
         hb = default_bounds(ds)
-        lik, kick = _Likelihood(ds), 0.05 * hb.variance[1] / 10.0
+        lik, kick = _Likelihood(ds.X, ds.Y), 0.05 * hb.variance[1] / 10.0
         variances, lengthscales = np.zeros(d), np.full(d, 0.5)
         for l in range(d):  # the first RLM cycle: each visit warm-starts from the previous ones
             vg = lik.direction(l, HyperParams(variances, lengthscales, hb.noise[1]))
@@ -870,7 +873,7 @@ class TestULM:
     def test_reported_value_matches_params(self):
         ds = random_dataset(12, 2, 7)
         centered = Dataset(ds.X, ds.Y - np.mean(ds.Y))
-        res = estimate_ulm(centered, family="matern32")
+        res = estimate_ulm(ds, family="matern32")  # the objective of the centered responses
         assert res.best_value == pytest.approx(
             neg_log_likelihood(res.params, centered), rel=1e-9
         )
@@ -900,8 +903,7 @@ class TestULM:
         true = make_kernel("gaussian", [1.0], [0.2])
         X = lhs_maximin(30, 1, seed=0, n_improvement_steps=500)
         y = sample_gp_path(true, X, seed=0)
-        ds = Dataset(X, y - np.mean(y))
-        res = estimate_ulm(ds, family="gaussian")
+        res = estimate_ulm(Dataset(X, y), family="gaussian")
         assert abs(res.params.variances[0] - 1.0) <= 0.5
         assert abs(res.params.lengthscales[0] - 0.2) <= 0.1
 
@@ -941,7 +943,7 @@ class TestRLM:
     def test_reported_value_matches_params(self):
         ds = random_dataset(12, 2, 14)
         centered = Dataset(ds.X, ds.Y - np.mean(ds.Y))
-        res = estimate_rlm(centered, family="matern32", n_iterations=3)
+        res = estimate_rlm(ds, family="matern32", n_iterations=3)  # the centered responses' objective
         assert res.best_value == pytest.approx(
             neg_log_likelihood(res.params, centered), rel=1e-9
         )
@@ -951,8 +953,8 @@ class TestRLM:
         # optimization; replaying it from the same start must agree.
         ds = random_dataset(10, 1, 15)
         centered = Dataset(ds.X, ds.Y - np.mean(ds.Y))
-        hb = default_bounds(centered)
-        res = estimate_rlm(centered, bounds=hb, n_iterations=1)
+        hb = default_bounds(ds)
+        res = estimate_rlm(ds, bounds=hb, n_iterations=1)
 
         theta0 = float(np.clip(0.5, hb.lengthscale[0], hb.lengthscale[1]))
         kick = 0.05 * hb.variance[1] / 10.0
@@ -984,6 +986,57 @@ class TestRLM:
         ds = random_dataset(5, 1, 18)
         with pytest.raises(ValueError):
             estimate_rlm(ds, n_iterations=0)
+
+
+def estimate_vector(res):
+    p = res.params
+    return np.concatenate([p.variances, p.lengthscales, [p.noise], [res.best_value]])
+
+
+class TestResponseMean:
+    """The estimators remove the responses' mean, as fit_gp does, so no caller centers its data."""
+
+    @pytest.mark.parametrize("run", [
+        lambda ds, hb: estimate_rlm(ds, "matern32", bounds=hb, n_iterations=2),
+        lambda ds, hb: estimate_ulm(ds, "matern32", bounds=hb),
+        lambda ds, hb: estimate_ulm(ds, "matern32", "tensor", bounds=hb),
+    ], ids=["rlm", "ulm-additive", "ulm-tensor"])
+    def test_a_shifted_response_gives_the_same_estimate(self, run):
+        # A small Matern 3/2 case: centered, Y + 100 differs from Y in its last bits only, and
+        # that moves no estimate by more than 5e-9 relative here; left uncentered, the
+        # shift would multiply tau^2 by about 1e8.
+        X = lhs_maximin(15, 2, seed=0, n_improvement_steps=200)
+        Y = np.sin(4 * X[:, 0]) + X[:, 1] ** 2
+        hb = default_bounds(Dataset(X, Y))
+        want = estimate_vector(run(Dataset(X, Y), hb))
+        got = estimate_vector(run(Dataset(X, Y + 100.0), hb))
+        np.testing.assert_allclose(got, want, rtol=1e-6)
+
+    @pytest.mark.parametrize("method", ["rlm-additive", "ulm-additive", "ulm-tensor"])
+    def test_study_runs_estimate_on_the_dataset_they_are_given(self, method, monkeypatch):
+        seen = []
+        for name in ("estimate_rlm", "estimate_ulm"):
+            real = getattr(bench, name)
+            monkeypatch.setattr(bench, name, lambda ds, *a, real=real, **k: seen.append(ds) or real(ds, *a, **k))
+        ds = random_dataset(8, 2, 19)
+        cfg = bench.PathsBenchConfig(dims=(2,), rlm_iterations=1, ulm_max_evals=50, rlm_max_evals_inner=20)
+        report = bench.BenchmarkReport()
+        bench._run(report, "r", method, ds, default_bounds(ds), cfg, 0)
+        assert seen == [ds] and len(report.records) == 1
+
+    @pytest.mark.parametrize("method", ["rlm", "ulm"])
+    def test_fit_estimates_on_the_loaded_data(self, method, tmp_path, monkeypatch):
+        seen = []
+        for name in ("estimate_rlm", "estimate_ulm"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda ds, *a, real=real, **k: seen.append(ds) or real(ds, *a, **k))
+        ds = random_dataset(8, 2, 20)
+        ds.to_csv(tmp_path / "data.csv")
+        cli.main(["fit", "--data", str(tmp_path / "data.csv"), "--method", method, "--iterations", "1",
+                  "--out", str(tmp_path / "out")])
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0].X, ds.X)
+        np.testing.assert_array_equal(seen[0].Y, ds.Y)
 
 
 class TestHelpers:

@@ -54,6 +54,17 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.array(x), np.array(y))
 
+    def test_rejects_a_3d_design(self):
+        # The point rule of kernels._check_design: a design is a 2-d array, not a stack of them.
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=r"points have shape \(5, 2, 2\)"):
+            Dataset(rng.uniform(size=(5, 2, 2)), np.arange(5.0))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_needs_an_input_column(self, n):
+        with pytest.raises(ValueError, match="one input column"):
+            Dataset(np.empty((n, 0)), np.arange(float(n)))
+
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         ds = Dataset(rng.uniform(size=(7, 3)), rng.standard_normal(7))
@@ -575,8 +586,9 @@ class TestScaleSweep:
         rng = np.random.default_rng(11)
         X = lhs_maximin(20, 2, seed=11, n_improvement_steps=200)
         Y = scale * (np.sin(5 * X[:, 0]) + X[:, 1] ** 2 + 0.01 * rng.standard_normal(20))
-        result = estimate_rlm(Dataset(X, Y - Y.mean()), family=family, n_iterations=2)
-        model = fit_gp(result.params, Dataset(X, Y), result.params.noise)
+        data = Dataset(X, Y)
+        result = estimate_rlm(data, family=family, n_iterations=2)
+        model = fit_gp(result.params, data, result.params.noise)
         for pts in (X, rng.uniform(size=(200, 2))):
             assert np.all(predict_var(model, pts) >= 0.0)
         for i in range(2):
