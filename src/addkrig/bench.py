@@ -18,6 +18,8 @@ is derived from (master seed, run id).
 
 from __future__ import annotations
 
+import json
+import numbers
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -219,8 +221,11 @@ class BenchmarkReport:
         return [r for r in self.records if r.method == method]
 
     def q2_stats(self, method: str) -> tuple[float, float]:
-        """Mean and sample sd of the method's Q2 values; the sd of one run is 0.0."""
+        """Mean and sample sd of the method's Q2 values; the sd of one run is 0.0, and both are
+        NaN for a method with no record (all its runs failed, or it was not run)."""
         vals = np.array([r.q2 for r in self.by_method(method)])
+        if not len(vals):
+            return float("nan"), float("nan")
         return float(vals.mean()), float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
 
     def final_l(self, method: str, d: int | None = None) -> np.ndarray:
@@ -258,18 +263,40 @@ class BenchmarkReport:
 _METHODS = ("rlm-additive", "ulm-additive", "ulm-tensor")
 
 
-def _check_minima(config, **minima) -> None:
-    """ValueError unless each named field (each entry of a tuple field) is >= its minimum."""
+def _as_type_of(name: str, value, default):
+    """``value`` converted to the type of ``default``; for a tuple default, a 1-d sequence whose
+    entries each take the type of default[0], as a tuple.  A number takes a real number that is
+    not a bool (an int only an integral one) and a string only a str; ValueError otherwise."""
+
+    def convert(kind, v):
+        number = isinstance(v, numbers.Real) and not isinstance(v, bool)
+        if not (isinstance(v, str) if kind is str else number and (kind is float or v == int(v))):
+            raise TypeError
+        return kind(v)
+
+    try:
+        if not isinstance(default, tuple):
+            return convert(type(default), value)
+        if np.ndim(value) != 1:
+            raise TypeError
+        return tuple(convert(type(default[0]), v) for v in value)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: a number too large for a float
+        want = "an integer" if type(default) is int else f"like {json.dumps(default)}"
+        raise ValueError(f"{name} must be {want}, got {value!r}") from None
+
+
+def _check_fields(config, unique: str, **minima) -> None:
+    """Store each field of ``config`` converted to the type of its default, then ValueError unless
+    each named field (each entry of a tuple field) is >= its minimum and the tuple field ``unique``
+    repeats no entry: a run id would name two runs."""
+    for f in fields(config):
+        object.__setattr__(config, f.name, _as_type_of(f.name, getattr(config, f.name), f.default))
     for name, low in minima.items():
         if np.any(np.asarray(getattr(config, name)) < low):
             raise ValueError(f"{name} must be >= {low}, got {getattr(config, name)}")
-
-
-def _check_unique(config, name) -> None:
-    """ValueError if the tuple field ``name`` repeats an entry: a run id would name two runs."""
-    entries = getattr(config, name)
+    entries = getattr(config, unique)
     if len(set(entries)) != len(entries):
-        raise ValueError(f"{name} must not repeat an entry, got {entries}")
+        raise ValueError(f"{unique} must not repeat an entry, got {entries}")
 
 
 @dataclass(frozen=True)
@@ -287,13 +314,12 @@ class GFunctionBenchConfig:
     rlm_max_evals_inner: int = 200
 
     def __post_init__(self):
+        _check_fields(self, "methods", n_designs=0, design_size=2, rlm_iterations=1, test_size=2,
+                      master_seed=0, lhs_steps=0, ulm_max_evals=1, rlm_max_evals_inner=1)
         GFunctionSpec(self.a)  # raises unless every a_k is finite and > 0
         _check_names(self.family)
         if not set(self.methods) <= set(_METHODS):
             raise ValueError(f"unknown method in {self.methods}")
-        _check_unique(self, "methods")
-        _check_minima(self, n_designs=0, design_size=2, rlm_iterations=1, test_size=2, master_seed=0,
-                      lhs_steps=0, ulm_max_evals=1, rlm_max_evals_inner=1)
 
 
 @dataclass(frozen=True)
@@ -311,11 +337,10 @@ class PathsBenchConfig:
     rlm_max_evals_inner: int = 200
 
     def __post_init__(self):
+        _check_fields(self, "dims", dims=1, n_paths=0, points_per_dim=2, rlm_iterations=1,
+                      master_seed=0, lhs_steps=0, ulm_max_evals=1, rlm_max_evals_inner=1)
         _check_names(self.family)
         _check_params(self.true_variance, self.true_lengthscale)
-        _check_unique(self, "dims")
-        _check_minima(self, dims=1, n_paths=0, points_per_dim=2, rlm_iterations=1, master_seed=0,
-                      lhs_steps=0, ulm_max_evals=1, rlm_max_evals_inner=1)
 
 
 def _run(report, run_id, method, dataset, bounds, cfg, seed, score=None) -> None:
@@ -347,9 +372,9 @@ def _run(report, run_id, method, dataset, bounds, cfg, seed, score=None) -> None
 
 def run_gfunction_benchmark(config: GFunctionBenchConfig = GFunctionBenchConfig()) -> BenchmarkReport:
     """Fit the g-function on repeated maximin designs and score each method by Q2."""
-    spec = GFunctionSpec(np.asarray(config.a))
+    spec = GFunctionSpec(config.a)
     d = spec.d
-    report = BenchmarkReport(meta={"experiment": "gfunction", "config": config.__dict__ | {"a": list(config.a), "methods": list(config.methods)}})
+    report = BenchmarkReport(meta={"experiment": "gfunction", "config": dict(vars(config))})
 
     rng_test = np.random.default_rng(config.master_seed)
     X_test = rng_test.uniform(size=(config.test_size, d))
@@ -367,7 +392,7 @@ def run_gfunction_benchmark(config: GFunctionBenchConfig = GFunctionBenchConfig(
 
 def run_paths_benchmark(config: PathsBenchConfig = PathsBenchConfig()) -> BenchmarkReport:
     """ULM-vs-RLM study on simulated additive-GP paths across dimensions."""
-    report = BenchmarkReport(meta={"experiment": "paths", "config": config.__dict__ | {"dims": list(config.dims)}})
+    report = BenchmarkReport(meta={"experiment": "paths", "config": dict(vars(config))})
     for d in config.dims:
         truth = make_kernel(config.family, np.full(d, config.true_variance),
                             np.full(d, config.true_lengthscale))

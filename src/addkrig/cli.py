@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .bench import GFunctionBenchConfig, PathsBenchConfig
+from .bench import GFunctionBenchConfig, PathsBenchConfig, _as_type_of
 from .estimate import additivity_ratio, default_bounds, estimate_rlm, estimate_ulm, write_traces
 from .gp import CholeskyFailure, Dataset, FittedGP, _pass, _read_csv, _write_csv, _write_json, fit_gp
 from .kernels import _COMPOSITIONS, _FAMILIES
@@ -30,7 +30,7 @@ EXIT_NUMERIC = 3
 EXIT_PARTIAL = 4
 
 # Each command's settings and their defaults: each is a flag (--grid-size for grid_size) and a
-# config-file key, and a setting whose default is an int takes integers.
+# config-file key, and a setting with a default takes values of the default's type.
 _SETTINGS = {
     "fit": {"data": None, "kernel": "gaussian", "composition": "additive", "method": "rlm",
             "iterations": 5, "seed": 0, "out": "out"},
@@ -65,8 +65,8 @@ def _load_config_file(path):
 
 def _resolve(args, study_fields=()) -> dict:
     """The command's settings: defaults, then config-file values, then explicit flags, with
-    every int setting checked to be an integer.  A config-file key that is neither one of the
-    command's settings nor a study field is an error, not ignored."""
+    every setting that has a default converted to its default's type.  A config-file key that is
+    neither one of the command's settings nor a study field is an error, not ignored."""
     settings = _SETTINGS[args.command]
     cfg = _load_config_file(args.config)
     unknown = sorted(set(cfg) - set(settings) - set(study_fields))
@@ -77,43 +77,20 @@ def _resolve(args, study_fields=()) -> dict:
     for key, default in settings.items():
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
-        if isinstance(default, int):
-            _typed(cfg, key)
+        if default is not None:
+            try:
+                cfg[key] = _as_type_of(key, cfg[key], default)
+            except ValueError as exc:
+                raise InputError(str(exc)) from None
     return cfg
-
-
-def _typed(cfg: dict, key: str, like=0):
-    """cfg[key] converted to the type of ``like`` (for a tuple, each entry to the type of like[0])
-    and stored back, so that the echo records the value that runs.  A bool is none of int, float
-    and str, and an int takes a float only when it is integral."""
-    val = cfg[key]
-
-    def convert(kind, v):
-        if isinstance(v, bool) or kind is int and isinstance(v, float) and not v.is_integer():
-            raise TypeError
-        return kind(v)
-
-    try:
-        if not isinstance(like, tuple):
-            cfg[key] = convert(type(like), val)
-            return cfg[key]
-        if not isinstance(val, list):
-            raise TypeError
-        cfg[key] = [convert(type(like[0]), v) for v in val]
-        return tuple(cfg[key])
-    except (TypeError, ValueError, OverflowError):  # OverflowError: an int too large for a float
-        want = "an integer" if type(like) is int else f"like {json.dumps(like)}"
-        raise InputError(f"{key} must be {want}, got {val!r}") from None
 
 
 def _out_dir(cfg) -> Path:
     """The output directory, made if need be, with the echo of ``cfg`` written into it."""
-    if not isinstance(cfg["out"], str):
-        raise InputError(f"out must be a directory path, got {cfg['out']!r}")
     out = Path(cfg["out"])
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file in the way, or no permission
+    except (OSError, ValueError) as exc:  # a file in the way, no permission, or a NUL in the path
         raise InputError(f"cannot make output directory {out}: {exc}") from None
     _write_json(out / "config_echo.json", cfg)
     return out
@@ -198,10 +175,12 @@ def cmd_bench(args) -> int:
     config_cls, run = _STUDIES[args.experiment]  # argparse has checked the name
     # The study fields are config-file keys too, all but master_seed: the seed is set as seed.
     cfg = _resolve(args, set(config_cls.__dataclass_fields__) - {"master_seed"})
+    study = [key for key in cfg if key in config_cls.__dataclass_fields__]
     try:
-        config = config_cls(**_study_options(config_cls, cfg), master_seed=cfg["seed"])
-    except ValueError as exc:  # a study field of the right type but out of range
+        config = config_cls(**{key: cfg[key] for key in study}, master_seed=cfg["seed"])
+    except ValueError as exc:  # a study field of the wrong type or out of range
         raise InputError(str(exc)) from None
+    cfg.update({key: getattr(config, key) for key in study})  # the echo records the values that run
     cfg["experiment"] = args.experiment
     out = _out_dir(cfg)
     report = run(config)
@@ -211,12 +190,6 @@ def cmd_bench(args) -> int:
     for line in report.failures:
         print(f"failed: {line}", file=sys.stderr)
     return EXIT_PARTIAL if report.failures else EXIT_OK
-
-
-def _study_options(config_cls, cfg: dict) -> dict:
-    """The config's study fields, each converted to the type of the field's default."""
-    return {f.name: _typed(cfg, f.name, f.default)
-            for f in config_cls.__dataclass_fields__.values() if f.name in cfg}
 
 
 def build_parser() -> argparse.ArgumentParser:

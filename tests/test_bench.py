@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -314,6 +315,12 @@ class TestReport:
         for m in ("a", "c"):
             assert (methods[m]["mean_q2"], methods[m]["sd_q2"]) == rep.q2_stats(m)
 
+    def test_q2_stats_of_a_method_without_records_is_nan(self):
+        # No "Mean of empty slice" warning (the suite makes it an error) and no exception: a
+        # g-function study whose runs of one method all failed still reports that method.
+        mean, sd = BenchmarkReport().q2_stats("rlm-additive")
+        assert np.isnan(mean) and np.isnan(sd)
+
     def test_summary_skips_q2_when_nan(self):
         s = self.make_report().summary()
         assert "mean_q2" in s["methods"]["a"]
@@ -376,3 +383,47 @@ class TestDrivers:
         for r in rep.records:
             assert np.isnan(r.q2)
             assert np.isfinite(r.l_final)
+
+
+# Fields of the wrong type: each config converts its fields to the types of their defaults when it
+# is built, so a Python caller gets the CLI's refusals as ValueError.
+WRONG_TYPES = [
+    (PathsBenchConfig, {"n_paths": 2.5}),
+    (PathsBenchConfig, {"dims": 3}),
+    (PathsBenchConfig, {"true_variance": True}),
+    (PathsBenchConfig, {"family": ["gaussian"]}),
+    (GFunctionBenchConfig, {"a": (1.0, True)}),
+    (GFunctionBenchConfig, {"lhs_steps": 10.5}),
+    (GFunctionBenchConfig, {"n_designs": "2"}),
+    (GFunctionBenchConfig, {"a": ("1.5",)}),
+]
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("cls, kwargs", WRONG_TYPES)
+    def test_wrong_type_is_refused(self, cls, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            cls(**kwargs)
+
+    def test_messages_name_the_field_and_its_type(self):
+        with pytest.raises(ValueError, match=r"^n_paths must be an integer, got 1\.5$"):
+            PathsBenchConfig(n_paths=1.5)
+        with pytest.raises(ValueError, match=r"^dims must be like \[3, 6\], got 'ab'$"):
+            PathsBenchConfig(dims="ab")
+
+    def test_fields_are_stored_as_their_defaults_types(self):
+        cfg = PathsBenchConfig(dims=(2.0,), n_paths=np.int64(3), true_variance=np.float32(0.5))
+        assert cfg.dims == (2,) and type(cfg.dims[0]) is int
+        assert type(cfg.n_paths) is int and type(cfg.true_variance) is float
+        g = GFunctionBenchConfig(a=np.array([1.0, 2.5]), methods=["rlm-additive"])
+        assert g.a == (1.0, 2.5) and all(type(v) is float for v in g.a)
+        assert g.methods == ("rlm-additive",)
+
+    def test_replace_keeps_the_converted_values(self):
+        # perfbench builds its warm-up and prefix configs with dataclasses.replace.
+        cfg = replace(PathsBenchConfig(dims=[2.0], true_variance=2), n_paths=1)
+        assert cfg.dims == (2,) and type(cfg.dims[0]) is int
+        assert type(cfg.true_variance) is float and cfg.n_paths == 1
+        g = replace(GFunctionBenchConfig(a=np.array([1.0, 2.0])), n_designs=1)
+        assert g.a == (1.0, 2.0) and type(g.a) is tuple

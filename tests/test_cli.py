@@ -433,6 +433,14 @@ MALFORMED_INPUTS = {
     "ragged-points": lambda t, d: [
         "predict", "--model", _model_file(t, lambda o: o), "--points", _write(t / "p.csv", "0.5,0.5\n0.5\n")],
     "list-kernel": lambda t, d: ["effects", "--model", _model_file(t, lambda o: {**o, "kernel": [o["kernel"]]})],
+    # A number setting takes a JSON number, not a string that int() or float() would parse.
+    "string-iterations": lambda t, d: [
+        "fit", "--data", str(d), "--config", _write(t / "c.json", '{"iterations": "1"}')],
+    "string-n-paths": lambda t, d: ["bench", "paths", "--config", _write(t / "c.json", '{"n_paths": "0"}')],
+    "string-a": lambda t, d: [
+        "bench", "gfunction", "--config", _write(t / "c.json", '{"a": ["1.5"], "n_designs": 0}')],
+    "nul-out": lambda t, d: [
+        "bench", "paths", "--config", _write(t / "c.json", '{"out": "o\\u0000x", "n_paths": 0}')],
 }
 
 # The stderr text a case must print, where it is pinned: "error:" otherwise.
@@ -445,6 +453,8 @@ MALFORMED_MESSAGES = {
     "effects-without-model": "error: effects requires --model",
     "ragged-points": "p.csv: rows of unequal width",
     "list-kernel": "error: cannot load model: kernel description must be a JSON object",
+    "string-iterations": "error: iterations must be an integer, got '1'",
+    "nul-out": "error: cannot make output directory",
 }
 
 
@@ -529,6 +539,21 @@ def test_flag_and_config_key_give_the_same_run(command, key, value, tmp_path, da
             f.unlink()
     assert "config_echo.json" in outputs[0]
     assert outputs[0] == outputs[1]
+
+
+def test_bench_rerun_from_its_own_echo_is_identical(tmp_path):
+    # The echo records the values the study config ran (2.0 as 2, a list for a tuple), so it
+    # serves as the config of an identical run once its experiment key, the positional, is gone.
+    cfg = {**SMALL_PATHS, "dims": [2.0], "true_variance": 1}
+    assert main(["bench", "paths", "--out", str(tmp_path / "a"),
+                 "--config", _write(tmp_path / "c.json", json.dumps(cfg))]) == EXIT_OK
+    echo = json.loads((tmp_path / "a" / "config_echo.json").read_text())
+    assert echo.pop("experiment") == "paths"
+    assert echo["dims"] == [2] and echo["true_variance"] == 1.0
+    assert main(["bench", "paths", "--out", str(tmp_path / "b"),
+                 "--config", _write(tmp_path / "echo.json", json.dumps(echo))]) == EXIT_OK
+    for name in ("report.csv", "summary.json", "traces.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 # The flags of each subcommand: one per setting, plus --config and --help.
