@@ -9,6 +9,7 @@ reference.  The ``setulb`` signature is the one of scipy >= 1.15, where L-BFGS-B
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,8 @@ def minimize(value_and_grad, lower, upper, start, max_evals: int = 1000) -> OptR
     :meth:`HyperBounds.box` gives them.  The run starts from ``start`` clipped into the box and
     stops at the end of the first iteration after which more than ``max_evals`` points have been
     evaluated.  Every call is counted, line-search probes included; the objective gets a copy of
-    each point, and a point equal to the last one evaluated reuses its (f, g).  A call that
+    each point, and a point equal to the last one evaluated reuses its (f, g), so the objective
+    may write into its point and return one gradient array on every call.  A call that
     raises ``np.linalg.LinAlgError`` marks an infeasible point: L-BFGS-B is fed a large finite
     sentinel with a retreating gradient instead, and a non-finite f the sentinel with a zero
     gradient.  Returns the best point evaluated (never worse than the start), and raises
@@ -72,11 +74,10 @@ def minimize(value_and_grad, lower, upper, start, max_evals: int = 1000) -> OptR
     x_done, done, n_calls, n_iterations = None, None, 0, 0
     best_x, best_f = None, np.inf
     while True:
-        g = g.astype(np.float64)  # setulb may write into g: never hand it the cached array
         setulb(_M, x, lower, upper, nbd, f, g, _FACTR, _PGTOL, wa, iwa, task, lsave, isave, dsave,
                _MAXLS, ln_task)
         if task[0] == _FG:
-            if x_done is None or not np.array_equal(x, x_done):
+            if x_done is None or not (x == x_done).all():
                 x_done = x.copy()
                 n_calls += 1
                 try:
@@ -85,15 +86,16 @@ def minimize(value_and_grad, lower, upper, start, max_evals: int = 1000) -> OptR
                     value = _SENTINEL * (1.0 + float(np.sum(np.square(x_done))))
                     grad = 2.0 * _SENTINEL * x_done
                 else:
-                    if not np.isfinite(value):
+                    if not math.isfinite(value):
                         value, grad = _SENTINEL, np.zeros(n)
                     elif value < best_f:
                         best_x, best_f = x_done, value
                 grad = np.asarray(grad, dtype=np.float64)
                 if grad.shape != (n,):
                     raise ValueError(f"gradient of shape {grad.shape} for {n} parameters")
-                done = float(value), grad
-            f, g = done
+                done = float(value), grad  # replaced before the objective runs again
+            # setulb may write into g, so it gets a copy: the cached gradient stays as evaluated.
+            f, g = done[0], done[1].copy()
         elif task[0] == _NEW_X:
             n_iterations += 1
             if n_iterations >= _MAXITER:

@@ -30,7 +30,8 @@ EXIT_NUMERIC = 3
 EXIT_PARTIAL = 4
 
 # Each command's settings and their defaults: each is a flag (--grid-size for grid_size) and a
-# config-file key, and a setting with a default takes values of the default's type.
+# config-file key.  A setting with a default takes values of the default's type, and one without
+# (an input file) a string.
 _SETTINGS = {
     "fit": {"data": None, "kernel": "gaussian", "composition": "additive", "method": "rlm",
             "iterations": 5, "seed": 0, "out": "out"},
@@ -82,6 +83,8 @@ def _resolve(args, study_fields=()) -> dict:
                 cfg[key] = _as_type_of(key, cfg[key], default)
             except ValueError as exc:
                 raise InputError(str(exc)) from None
+        elif not isinstance(cfg[key], (str, type(None))):  # a file path: open() would take a number
+            raise InputError(f"{key} must be a file path, got {json.dumps(cfg[key])}")
     return cfg
 
 

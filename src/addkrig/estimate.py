@@ -160,7 +160,7 @@ class _Likelihood:
         # with the upper triangle set and zeros below (clean=1), so mirroring it doubles only
         # the diagonal, which is then put back.
         W = dpotri(L, lower=1, overwrite_c=1)[0].T
-        diag = np.einsum("ii->i", W)
+        diag = W.reshape(-1)[::len(W) + 1]
         kept = diag.copy()
         W += W.T
         diag[:] = kept
@@ -178,16 +178,22 @@ class _Likelihood:
             for v, Ri in zip(variances[1:], R[1:]):
                 K += v * Ri
             value, W = self._solve(K, noise)
-            WR = W * R
-            grad = list(WR.sum(axis=(1, 2)))  # one pairwise sum per C-ordered slice
-            grad += [v * np.vdot(x, qi) for v, x, qi in zip(variances, WR, q)]
+            WR = np.multiply(W, R, out=R)
+            grad = np.empty(2 * len(R) + 1)
+            WR.sum(axis=(1, 2), out=grad[:len(R)])  # one pairwise sum per C-ordered slice
+            grad[len(R):-1] = [np.vdot(x, qi) for x, qi in zip(WR, q)]
+            grad[len(R):-1] *= variances
         else:
             P = math.prod(R)  # correlation product
-            value, W = self._solve(np.prod(variances) * P, noise)
-            WP = W * P
-            grad = [np.prod(variances[1:]) * WP.sum()]
-            grad += [np.prod(variances) * np.vdot(WP, qi) for qi in q]
-        return value, np.append(grad, W.trace())
+            scale = np.prod(variances)
+            value, W = self._solve(scale * P, noise)
+            WP = np.multiply(W, P, out=P)
+            grad = np.empty(len(R) + 2)
+            grad[0] = np.prod(variances[1:]) * WP.sum()
+            grad[1:-1] = [np.vdot(WP, qi) for qi in q]
+            grad[1:-1] *= scale
+        grad[-1] = W.trace()
+        return value, grad
 
     def direction(self, l: int, p: HyperParams):
         """Objective over (sigma_l^2, theta_l, tau^2) with the other directions of the additive
@@ -203,7 +209,7 @@ class _Likelihood:
             K = v * R
             K += K_rest
             value, W = self._solve(K, noise)
-            WR = W * R
+            WR = np.multiply(W, R, out=R)
             return value, np.array([WR.sum(), v * np.vdot(WR, q), W.trace()])
 
         return value_and_grad

@@ -294,7 +294,7 @@ def _factor(K: np.ndarray, diag: float) -> np.ndarray:
     Fortran order): the one factorization and singularity test of fit_gp, the likelihood and GP
     paths.  LinAlgError when a leading minor is not positive definite or a squared pivot is at
     most 1e-12 tr(K + diag I)/n.  ``diag`` is trusted: each caller checks it where it enters."""
-    diagonal = np.einsum("ii->i", K)  # a writable view
+    diagonal = K.reshape(-1)[::len(K) + 1]  # a writable view, K being C-ordered
     diagonal += diag
     trace = diagonal.sum()  # taken first: the factorization overwrites K
     # K is exactly symmetric, so K.T is K in Fortran order and LAPACK works in place.

@@ -441,6 +441,13 @@ MALFORMED_INPUTS = {
         "bench", "gfunction", "--config", _write(t / "c.json", '{"a": ["1.5"], "n_designs": 0}')],
     "nul-out": lambda t, d: [
         "bench", "paths", "--config", _write(t / "c.json", '{"out": "o\\u0000x", "n_paths": 0}')],
+    # An input file setting takes a path string only: open() would take a number as a file descriptor.
+    "number-data": lambda t, d: ["fit", "--config", _write(t / "c.json", '{"data": 2.5}')],
+    "list-model": lambda t, d: [
+        "predict", "--points", _write(t / "p.csv", "0.5,0.5\n"), "--config", _write(t / "c.json", '{"model": ["m.json"]}')],
+    "object-points": lambda t, d: [
+        "predict", "--model", _model_file(t, lambda o: o), "--config", _write(t / "c.json", '{"points": {"p": 1}}')],
+    "number-effects-model": lambda t, d: ["effects", "--config", _write(t / "c.json", '{"model": 1.0}')],
 }
 
 # The stderr text a case must print, where it is pinned: "error:" otherwise.
@@ -455,6 +462,10 @@ MALFORMED_MESSAGES = {
     "list-kernel": "error: cannot load model: kernel description must be a JSON object",
     "string-iterations": "error: iterations must be an integer, got '1'",
     "nul-out": "error: cannot make output directory",
+    "number-data": "error: data must be a file path, got 2.5",
+    "list-model": 'error: model must be a file path, got ["m.json"]',
+    "object-points": 'error: points must be a file path, got {"p": 1}',
+    "number-effects-model": "error: model must be a file path, got 1.0",
 }
 
 

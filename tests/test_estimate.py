@@ -827,6 +827,37 @@ class TestScipyOracle:
         got = assert_same_run(vg, lower, upper, [0.5, 0.3])
         assert (got.converged, want.success) == (False, False)
 
+    @pytest.mark.parametrize("vg, bounds, start", [
+        (quartic, [(-5.0, 5.0)] * 4, [4.0] * 4),
+        (half_infeasible, [(0.0, 1.0)], [0.9]),
+    ], ids=["quartic", "half-infeasible"])
+    def test_objective_that_writes_into_its_point_and_reuses_one_gradient(self, vg, bounds, start):
+        # minimize hands the objective a point it may write into, and keeps no array the
+        # objective returns past the objective's next call: the run is scipy's on the same values.
+        shared, got_points = np.empty(len(start)), []
+
+        def rude(x):
+            got_points.append(x.copy())
+            value, grad = vg(x)
+            shared[:] = grad
+            x[:] = np.nan
+            return value, shared
+
+        want_points = []
+
+        def polite(x):
+            want_points.append(x.copy())
+            return vg(x)
+
+        lower, upper = as_box(bounds)
+        got = minimize(rude, lower, upper, start)
+        want = scipy_optimize_local(polite, lower, upper, start)
+        assert got.n_calls == want.n_calls == len(got_points) == len(want_points)
+        for a, b in zip(got_points, want_points):
+            np.testing.assert_array_equal(a, b)
+        assert got.value == want.value and got.converged == want.converged
+        np.testing.assert_array_equal(got.x, want.x)
+
     def test_sentinel_objective(self):
         vg = _Likelihood(RECTANGLE, np.arange(4.0)).direction(0, HyperParams([0.0, 1.0], [0.6, 0.6], 0.0))
         res = assert_same_run(vg, *as_box([(0.0, 2.0), (0.1, 1.0), (0.0, 1.0)]), [1.0, 0.6, 0.5])
