@@ -18,6 +18,10 @@ provided:
   the cycle progresses; comparing it to the fitted variances quantifies how
   additive the data is.
 
+Both drivers let L-BFGS-B step in log theta and log tau^2, positive scales whose boxes span
+orders of magnitude (Rasmussen & Williams 2006, 5.4); the variances stay linear, since their
+boxes start at 0 and RLM starts them there.
+
 Every inner optimization counts its objective evaluations; the resulting
 traces (calls vs best value, plus the tau^2 path) are the raw material of the
 benchmark module.
@@ -67,13 +71,32 @@ class HyperParams(AdditiveKernel):
         object.__setattr__(self, "noise", noise)
 
 
-def _split(x: np.ndarray, d: int, composition: str) -> tuple[np.ndarray, np.ndarray, float]:
-    """(variances, lengthscales, tau^2) of a vector laid out as :meth:`HyperBounds.box`, as views
-    where they can be: the one reader of that layout.  The tensor composition's one variance is
-    direction 0's, the others are 1."""
-    if composition == "additive":
-        return x[:d], x[d:2 * d], float(x[-1])
-    return np.concatenate([x[:1], np.ones(d - 1)]), x[1:d + 1], float(x[-1])
+def _from_log(z: float, lo_hi: tuple[float, float]) -> float:
+    """exp(z) clipped into the linear box lo_hi: the one map from the optimizer's log theta and
+    log tau^2 back to theta and tau^2."""
+    return min(max(math.exp(z), lo_hi[0]), lo_hi[1])
+
+
+def _split(x: np.ndarray, d: int, composition: str, bounds: HyperBounds) -> tuple[np.ndarray, np.ndarray, float]:
+    """(variances, lengthscales, tau^2) of a vector laid out as :meth:`HyperBounds.box`: the one
+    reader of that layout.  The variances are views; theta and tau^2 are mapped back from their
+    logs and clipped into ``bounds`` (exp(log(3.0)) is 3.0000000000000004), so the likelihood
+    never sees a point outside the box.  The tensor composition's one variance is direction 0's,
+    the others are 1."""
+    n_var = d if composition == "additive" else 1
+    *log_t, log_noise = x[n_var:].tolist()
+    variances = x[:d] if composition == "additive" else np.concatenate([x[:1], np.ones(d - 1)])
+    lengthscales = np.array([_from_log(z, bounds.lengthscale) for z in log_t])
+    return variances, lengthscales, _from_log(log_noise, bounds.noise)
+
+
+def _vector(variance: float, lengthscale: float, noise: float, d: int, composition: str) -> np.ndarray:
+    """The optimization vector that :func:`_split` reads, with every variance, lengthscale and
+    tau^2 at the given value: the d variances (one for tensor), then log theta_i and log tau^2.
+    A zero tau^2 (its lower bound may be 0) takes the log of the smallest normal float, so that
+    L-BFGS-B sees a finite box."""
+    logs = math.log(lengthscale), math.log(max(noise, np.finfo(float).tiny))
+    return np.repeat([variance, *logs], [d if composition == "additive" else 1, d, 1])
 
 
 def additivity_ratio(params: HyperParams) -> float:
@@ -112,10 +135,11 @@ class HyperBounds:
 
     def box(self, d: int, composition: str = "additive") -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) float arrays over the optimization vector that :func:`_split` reads:
-        the d variances (one for tensor), the d lengthscales, then tau^2."""
+        the d variances (one for tensor), then log theta_i and log tau^2, the coordinates that
+        L-BFGS-B steps in (Rasmussen & Williams 2006, 5.4)."""
         _check_names(composition=composition)
-        rows = np.array([self.variance, self.lengthscale, self.noise], dtype=float).T  # lower, upper
-        return tuple(np.repeat(rows, [d if composition == "additive" else 1, d, 1], axis=1))
+        return tuple(_vector(*corner, d, composition)
+                     for corner in zip(self.variance, self.lengthscale, self.noise))
 
 
 def default_bounds(dataset: Dataset) -> HyperBounds:
@@ -140,9 +164,10 @@ class _Likelihood:
     """The objective on a design X and responses Y, with its |x_i - x_j| built once as a d x n x n stack.
 
     One Cholesky factorization per call; gradient entries are <W, dK/dp> with W = K^-1 -
-    alpha alpha^T (Rasmussen & Williams 2006, 5.4.1); dK/dtheta_i is the covariance term
-    holding theta_i times q_i = d log r_i / d theta_i.  It checks no parameter: each comes from a
-    checked HyperParams or from L-BFGS-B inside a HyperBounds box, all of whose points are valid."""
+    alpha alpha^T (Rasmussen & Williams 2006, 5.4.1); dK/d log theta_i is the covariance term
+    holding theta_i times q_i = d log r_i / d log theta_i.  It checks no parameter: each comes
+    from a checked HyperParams or from L-BFGS-B through :func:`_split`, which keeps every point
+    inside a HyperBounds box, all of whose points are valid."""
 
     def __init__(self, X: np.ndarray, Y: np.ndarray):
         self.Y = Y
@@ -169,9 +194,11 @@ class _Likelihood:
 
     def __call__(self, p: HyperParams) -> tuple[float, np.ndarray]:
         """(value, gradient over {sigma_i^2 (sigma_0^2 alone for tensor), theta_i, tau^2})."""
-        return self._evaluate(p.family, p.composition, p.variances, p.lengthscales, p.noise)
+        return self._evaluate(p.family, p.composition, p.variances, p.lengthscales, p.noise, log=False)
 
-    def _evaluate(self, family, composition, variances, lengthscales, noise):
+    def _evaluate(self, family, composition, variances, lengthscales, noise, log=True):
+        """(value, gradient) over the layout of :meth:`HyperBounds.box`; with ``log`` the theta
+        and tau^2 entries are over their logs, as L-BFGS-B steps, and otherwise over themselves."""
         R, q = _corr(family, self.dist, lengthscales[:, None, None], dlog=True, out=self._buf)
         if composition == "additive":
             K = variances[0] * R[0]
@@ -193,24 +220,30 @@ class _Likelihood:
             grad[1:-1] = [np.vdot(WP, qi) for qi in q]
             grad[1:-1] *= scale
         grad[-1] = W.trace()
+        if log:
+            grad[-1] *= noise
+        else:
+            grad[-1 - len(R):-1] /= lengthscales
         return value, grad
 
-    def direction(self, l: int, p: HyperParams):
-        """Objective over (sigma_l^2, theta_l, tau^2) with the other directions of the additive
-        ``p`` fixed in K_rest = sum_{j != l} sigma_j^2 r_j: a call evaluates one correlation."""
-        family, dist = p.family, self.dist[l]
+    def direction(self, l: int, p: HyperParams, bounds: HyperBounds):
+        """Objective over (sigma_l^2, log theta_l, log tau^2), the vector of ``bounds.box(1)``,
+        with the other directions of the additive ``p`` fixed in K_rest = sum_{j != l} sigma_j^2
+        r_j: a call evaluates one correlation."""
+        family, dist, t_box, noise_box = p.family, self.dist[l], bounds.lengthscale, bounds.noise
         buf = np.empty_like(dist), np.empty_like(dist)  # this closure's R and q
         K_rest = sum(v * _corr(family, r, t, out=buf)
                      for j, (r, v, t) in enumerate(zip(self.dist, p.variances, p.lengthscales)) if j != l)
 
         def value_and_grad(x):
-            v, t, noise = x.tolist()
+            v, log_t, log_noise = x.tolist()  # as _split reads it, without its arrays
+            t, noise = _from_log(log_t, t_box), _from_log(log_noise, noise_box)
             R, q = _corr(family, dist, t, dlog=True, out=buf)
             K = v * R
             K += K_rest
             value, W = self._solve(K, noise)
             WR = np.multiply(W, R, out=R)
-            return value, np.array([WR.sum(), v * np.vdot(WR, q), W.trace()])
+            return value, np.array([WR.sum(), v * np.vdot(WR, q), noise * W.trace()])
 
         return value_and_grad
 
@@ -301,21 +334,25 @@ def estimate_ulm(
     bounds: HyperBounds | None = None,
     max_evals: int = 5000,
 ) -> EstimationResult:
-    """Joint likelihood maximization over all parameters at once: one L-BFGS-B run from the
-    midpoint of the box.  The responses' mean is removed first, as :func:`fit_gp` removes it,
-    so ``best_value`` is the objective of the centered responses."""
+    """Joint likelihood maximization over all parameters at once: one L-BFGS-B run, in log
+    theta and log tau^2, from the midpoint of the (linear) box.  The responses' mean is removed
+    first, as :func:`fit_gp` removes it, so ``best_value`` is the objective of the centered
+    responses."""
     _check_names(family, composition)
     d = dataset.d
-    lower, upper = (bounds or default_bounds(dataset)).box(d, composition)
+    hb = bounds or default_bounds(dataset)
+    lower, upper = hb.box(d, composition)
+    # Not the midpoint of the log box: its small theta and tau^2 start ULM in worse optima.
+    start = _vector(*((lo + hi) / 2 for lo, hi in (hb.variance, hb.lengthscale, hb.noise)), d, composition)
     lik = _Likelihood(dataset.X, dataset.Y - np.mean(dataset.Y))
 
     def objective(x):  # the vector read by _split, without building a HyperParams per call
-        return lik._evaluate(family, composition, *_split(x, d, composition))
+        return lik._evaluate(family, composition, *_split(x, d, composition, hb))
 
-    res = minimize(objective, lower, upper, (lower + upper) / 2, max_evals=max_evals)
+    res = minimize(objective, lower, upper, start, max_evals=max_evals)
+    params = HyperParams(*_split(res.x, d, composition, hb), family, composition)
     trace = EstimationTrace()
-    trace.add(1, 0, res.n_calls, res.value, float(res.x[-1]))
-    params = HyperParams(*_split(res.x, d, composition), family, composition)
+    trace.add(1, 0, res.n_calls, res.value, params.noise)
     return EstimationResult(params, trace, res.value, res.converged)
 
 
@@ -351,7 +388,7 @@ def estimate_rlm(
     # to a direction therefore starts with a small variance kick.
     sigma_kick = 0.05 * hb.variance[1] / 10.0
 
-    # Each inner problem is a one-direction additive model: (sigma_l^2, theta_l, tau^2).
+    # Each inner problem is a one-direction additive model: (sigma_l^2, log theta_l, log tau^2).
     inner_box = hb.box(1)
 
     trace = EstimationTrace()
@@ -364,12 +401,11 @@ def estimate_rlm(
         cycle_start = current
         for l in range(d):
             sigma_start = variances[l] if variances[l] > 0 else sigma_kick
-            start = np.array([sigma_start, lengthscales[l], noise])
-            res = minimize(lik.direction(l, HyperParams(variances, lengthscales, noise, family)),
+            start = _vector(sigma_start, lengthscales[l], noise, 1, "additive")
+            res = minimize(lik.direction(l, HyperParams(variances, lengthscales, noise, family), hb),
                            *inner_box, start, max_evals=max_evals_inner)
             if res.value <= current:
-                variances[l], lengthscales[l] = res.x[0], res.x[1]
-                noise = float(res.x[2])
+                (variances[l],), (lengthscales[l],), noise = _split(res.x, 1, "additive", hb)
                 current = res.value
             # else: keep the incumbent; the kicked start found nothing better.
             converged = converged and res.converged

@@ -75,7 +75,7 @@ def _check_design(X, d: int) -> np.ndarray:
 
 def _corr(family: str, r, theta, dlog: bool = False, out=None):
     """Unit-variance correlation at distances r = |x - y|; with ``dlog`` also q = d log corr /
-    d theta, r^2/theta^3 (Gaussian) or s^2/((1+s) theta) (Matern 3/2), finite where corr is 0.
+    d log theta, (r/theta)^2 (Gaussian) or s^2/(1+s) (Matern 3/2), finite where corr is 0.
 
     The results go into ``out``, a pair of float arrays of the broadcast shape of r and theta
     (fresh ones when None): corr into out[0] and q into out[1], which is scratch without
@@ -87,10 +87,7 @@ def _corr(family: str, r, theta, dlog: bool = False, out=None):
     if family == "gaussian":
         z = np.square(np.divide(r, theta, out=q), out=q)  # (r / theta)^2
         np.exp(np.multiply(z, -0.5, out=R), out=R)
-        if not dlog:
-            return R
-        z /= theta
-        return R, z
+        return (R, z) if dlog else R
     s = np.divide(np.multiply(r, _SQRT3, out=q), theta, out=q)  # sqrt(3) r / theta
     if not dlog:
         np.add(s, 1.0, out=R)
@@ -98,7 +95,6 @@ def _corr(family: str, r, theta, dlog: bool = False, out=None):
         return R
     one_s = s + 1.0  # the one temporary: R and q both need 1 + s
     np.multiply(np.exp(np.negative(s, out=R), out=R), one_s, out=R)
-    one_s *= theta
     np.square(s, out=q)
     q /= one_s
     return R, q

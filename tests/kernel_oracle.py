@@ -12,8 +12,8 @@ from addkrig.kernels import _corr
 def corr_dtheta(spec, x, y):
     """Element-wise derivative of spec.corr(x, y) w.r.t. the lengthscale."""
     r = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-    R, q = _corr(spec.family, r, spec.lengthscale, dlog=True)
-    return R * q
+    R, q = _corr(spec.family, r, spec.lengthscale, dlog=True)  # q = d log r / d log theta
+    return R * q / spec.lengthscale
 
 
 def grad_cov_matrix(kernel, X, noise, param_id):

@@ -43,6 +43,23 @@ def random_dataset(n, d, seed):
     return Dataset(rng.uniform(size=(n, d)), rng.standard_normal(n))
 
 
+def linear_params(x, d, family, composition):
+    """HyperParams of a vector in the layout of HyperBounds.box with theta and tau^2 taken as they
+    are, not as logs."""
+    n_var = d if composition == "additive" else 1
+    v = x[:d] if composition == "additive" else np.concatenate([x[:1], np.ones(d - 1)])
+    return HyperParams(v, x[n_var:n_var + d], float(x[-1]), family, composition)
+
+
+def log_point(v, t, noise):
+    """An RLM direction's optimization vector (sigma^2, log theta, log tau^2); tau^2 = 0 is -inf."""
+    return np.array([v, math.log(t), math.log(noise) if noise else -math.inf])
+
+
+# Wide enough that no point the direction tests evaluate is clipped.
+WIDE = HyperBounds((0.0, 10.0), (1e-3, 10.0), (0.0, 10.0))
+
+
 class TestObjective:
     def test_single_point_closed_form(self):
         # n = 1: K = sigma^2 + tau^2, so l = log(s) + y^2 / s.
@@ -104,7 +121,7 @@ class TestGradient:
         ds = random_dataset(8, 2, 5)
 
         def vg(x):
-            return nll_value_and_grad(HyperParams(*estimate._split(x, 2, comp), fam, comp), ds)
+            return nll_value_and_grad(linear_params(x, 2, fam, comp), ds)
 
         x0 = np.array([1.2, 0.6, 0.35, 0.55, 0.2][: 5 if comp == "additive" else 4])
         f0, g = vg(x0)
@@ -216,19 +233,22 @@ class TestLikelihoodEngine:
     @pytest.mark.parametrize("comp", ["additive", "tensor"])
     def test_ulm_objective_is_bit_identical_to_nll_value_and_grad(self, fam, comp):
         # estimate_ulm removes the responses' mean, so its objective is nll_value_and_grad's on
-        # the centered responses.
+        # the centered responses, at the point mapped back from log theta and log tau^2: the same
+        # value bit for bit, and the gradient times theta and tau^2 (its chain factors).
         d = 3
         ds = random_dataset(12, d, 35)
         rng = np.random.default_rng(36)
         vg = ulm_objective(ds, fam, comp)
         ds = Dataset(ds.X, ds.Y - np.mean(ds.Y))
-        box = HyperBounds((0.0, 2.0), (0.05, 1.0), (1e-6, 0.5)).box(d, comp)
+        n_var = d if comp == "additive" else 1
         for _ in range(3):
-            x = rng.uniform(*box)
+            x = rng.uniform(*default_bounds(ds).box(d, comp))
             value, g = vg(x)
-            want_value, want_g = nll_value_and_grad(HyperParams(*estimate._split(x, d, comp), fam, comp), ds)
+            p = HyperParams(*estimate._split(x, d, comp, default_bounds(ds)), fam, comp)
+            want_value, want_g = nll_value_and_grad(p, ds)
             assert value == want_value
-            np.testing.assert_array_equal(g, want_g)
+            want_g[n_var:] *= np.append(p.lengthscales, p.noise)
+            np.testing.assert_allclose(g, want_g, rtol=1e-12)
 
     @pytest.mark.parametrize("fam", ["gaussian", "matern32"])
     def test_rlm_direction_matches_full_evaluator(self, fam, monkeypatch):
@@ -245,13 +265,15 @@ class TestLikelihoodEngine:
             noise = float(rng.uniform(1e-3, 0.5))
             p = HyperParams(v, t, noise, fam)
             for l in range(d):
-                vg = lik.direction(l, p)
+                vg = lik.direction(l, p, WIDE)
                 evaluated.clear()
-                value, g = vg(np.array([v[l], t[l], noise]))
+                value, g = vg(log_point(v[l], t[l], noise))
                 assert len(evaluated) == 1  # direction l's correlation alone
                 want_value, want_g = nll_value_and_grad(p, ds)
                 assert value == pytest.approx(want_value, rel=1e-12)
-                np.testing.assert_allclose(g, want_g[[l, d + l, 2 * d]], rtol=1e-9)
+                # over log theta_l and log tau^2: the linear entries times theta_l and tau^2
+                want = want_g[[l, d + l, 2 * d]] * [1.0, t[l], noise]
+                np.testing.assert_allclose(g, want, rtol=1e-9)
 
     @pytest.mark.parametrize("fam", ["gaussian", "matern32"])
     @pytest.mark.parametrize("comp", ["additive", "tensor"])
@@ -288,18 +310,19 @@ class TestReusedBuffers:
 
         lik = _Likelihood(ds.X, ds.Y)
         p0, p2 = params(), params()
-        first, last = lik.direction(0, p0), lik.direction(d - 1, p2)
-        add, tensor, x0, x2 = params(), params("tensor"), rng.uniform(0.1, 1.0, 3), rng.uniform(0.1, 1.0, 3)
+        first, last = lik.direction(0, p0, WIDE), lik.direction(d - 1, p2, WIDE)
+        add, tensor = params(), params("tensor")
+        x0, x2 = log_point(*rng.uniform(0.1, 1.0, 3)), log_point(*rng.uniform(0.1, 1.0, 3))
         # Calls repeat with others in between, so anything a call read back from a buffer shows.
         calls = [(lik, add), (first, x0), (lik, add), (last, x2), (lik, tensor), (first, x0), (last, x2),
-                 (lik, tensor), (first, rng.uniform(0.1, 1.0, 3)), (lik, params()), (last, x2)]
+                 (lik, tensor), (first, log_point(*rng.uniform(0.1, 1.0, 3))), (lik, params()), (last, x2)]
         for f, arg in calls:
             value, grad = f(arg)
             if f is lik:
                 want_value, want_grad = _Likelihood(ds.X, ds.Y)(arg)
             else:
                 l, p = (0, p0) if f is first else (d - 1, p2)
-                want_value, want_grad = _Likelihood(ds.X, ds.Y).direction(l, p)(arg)
+                want_value, want_grad = _Likelihood(ds.X, ds.Y).direction(l, p, WIDE)(arg)
             assert value == want_value
             np.testing.assert_array_equal(grad, want_grad)
 
@@ -326,18 +349,20 @@ def reference_value_and_grad(p, ds):
     if p.composition == "additive":
         value, W = reference_solve(sum(v * R for v, (R, _) in zip(p.variances, terms)), p.noise, ds.Y)
         WR = [W * R for R, _ in terms]
-        grad = [x.sum() for x in WR] + [v * np.vdot(x, q) for v, x, (_, q) in zip(p.variances, WR, terms)]
+        grad = [x.sum() for x in WR]
+        grad += [v * np.vdot(x, q) / t for v, t, x, (_, q) in zip(p.variances, p.lengthscales, WR, terms)]
     else:
         P = math.prod(R for R, _ in terms)
         value, W = reference_solve(np.prod(p.variances) * P, p.noise, ds.Y)
         WP = W * P
         grad = [np.prod(p.variances[1:]) * WP.sum()]
-        grad += [np.prod(p.variances) * np.vdot(WP, q) for _, q in terms]
+        grad += [np.prod(p.variances) * np.vdot(WP, q) / t for t, (_, q) in zip(p.lengthscales, terms)]
     return value, np.append(grad, np.trace(W))
 
 
 def reference_direction(l, p, ds, x):
-    """RLM's (sigma_l^2, theta_l, tau^2) objective, by the same route as reference_value_and_grad."""
+    """RLM's objective over (sigma_l^2, log theta_l, log tau^2) at the linear point x = (sigma_l^2,
+    theta_l, tau^2), by the same route as reference_value_and_grad."""
     v, t, noise = x
     dist = [np.abs(c[:, None] - c[None, :]) for c in ds.X.T]
     K_rest = sum(vj * _corr(p.family, r, tj)
@@ -345,7 +370,7 @@ def reference_direction(l, p, ds, x):
     R, q = _corr(p.family, dist[l], t, dlog=True)
     value, W = reference_solve(K_rest + v * R, noise, ds.Y)
     WR = W * R
-    return value, np.array([WR.sum(), v * np.vdot(WR, q), np.trace(W)])
+    return value, np.array([WR.sum(), v * np.vdot(WR, q), noise * np.trace(W)])
 
 
 # An exactly singular design at tau^2 = 0: the four corners of a rectangle.
@@ -373,9 +398,9 @@ class TestLapackPath:
                 np.testing.assert_array_equal(g, want_g)
             p = HyperParams(v, t, noise, fam)
             for l in range(d):
-                x = np.array([0.7 * v[l] + 0.1, 1.3 * t[l], 2.0 * noise])
-                value, g = lik.direction(l, p)(x)
-                want_value, want_g = reference_direction(l, p, ds, x)
+                x = log_point(0.7 * v[l] + 0.1, 1.3 * t[l], 2.0 * noise)
+                value, g = lik.direction(l, p, WIDE)(x)
+                want_value, want_g = reference_direction(l, p, ds, (x[0], math.exp(x[1]), math.exp(x[2])))
                 assert value == want_value
                 np.testing.assert_array_equal(g, want_g)
 
@@ -395,13 +420,15 @@ class TestLapackPath:
         with pytest.raises(np.linalg.LinAlgError):
             nll_value_and_grad(p, ds)
         with pytest.raises(np.linalg.LinAlgError):
-            _Likelihood(ds.X, ds.Y).direction(0, p)(np.array([1.0, 0.6, 0.0]))
+            _Likelihood(ds.X, ds.Y).direction(0, p, WIDE)(log_point(1.0, 0.6, 0.0))
 
     def test_optimize_local_turns_both_failures_into_the_sentinel(self, monkeypatch):
         # Direction 0 of the rectangle with sigma_1^2 = 1 fixed: sigma_0^2 = 0 leaves K = r_1,
         # which LAPACK refuses; sigma_0^2 = 1 gives K = r_0 + r_1, which the pivot test refuses.
-        # A run started there hands setulb that point's (f, g) on its second call.
-        vg = _Likelihood(RECTANGLE, np.arange(4.0)).direction(0, HyperParams([0.0, 1.0], [0.6, 0.6], 0.0))
+        # A run started there hands setulb that point's (f, g) on its second call.  tau^2 is held
+        # at 0, whose log L-BFGS-B sees as the log of the smallest normal float.
+        hb = HyperBounds((0.0, 2.0), (0.1, 1.0), (0.0, 0.0))
+        vg = _Likelihood(RECTANGLE, np.arange(4.0)).direction(0, HyperParams([0.0, 1.0], [0.6, 0.6], 0.0), hb)
         fed, real = [], _lbfgsb.setulb
 
         def recording(m, x, low, up, nbd, f, g, *rest):
@@ -409,12 +436,12 @@ class TestLapackPath:
             return real(m, x, low, up, nbd, f, g, *rest)
 
         monkeypatch.setattr(_lbfgsb, "setulb", recording)
-        for x in (np.array([0.0, 0.6, 0.0]), np.array([1.0, 0.6, 0.0])):
+        for x in (estimate._vector(0.0, 0.6, 0.0, 1, "additive"), estimate._vector(1.0, 0.6, 0.0, 1, "additive")):
             with pytest.raises(np.linalg.LinAlgError):
                 vg(x)
             fed.clear()
             with pytest.raises(np.linalg.LinAlgError, match="never evaluated successfully"):
-                minimize(vg, *as_box([(0.0, 2.0), (0.1, 1.0), (0.0, 1.0)]), x)
+                minimize(vg, *hb.box(1), x)
             (x0, _, _), (x1, f, g) = fed[:2]
             np.testing.assert_array_equal(x0, x)
             np.testing.assert_array_equal(x1, x)
@@ -442,9 +469,9 @@ class TestPerCallValidation:
         ds = random_dataset(6, 2, 55)
         for p in (HyperParams([0.0, 0.0], [0.4, 0.5], 0.1), HyperParams([1.0, 0.0], [0.4, 0.5], 0.0)):
             assert np.isfinite(nll_value_and_grad(p, ds)[0])
-        vg = _Likelihood(ds.X, ds.Y).direction(0, HyperParams([0.0, 0.5], [0.4, 0.5], 0.1))
+        vg = _Likelihood(ds.X, ds.Y).direction(0, HyperParams([0.0, 0.5], [0.4, 0.5], 0.1), WIDE)
         for x in ([0.0, 0.4, 0.1], [1.0, 0.4, 0.0]):
-            assert np.isfinite(vg(np.array(x))[0])
+            assert np.isfinite(vg(log_point(*x))[0])
 
 
 def gfunction_dataset():
@@ -472,21 +499,36 @@ class TestChecksAtEntry:
     @pytest.mark.parametrize("data", sorted(STUDY_DATA))
     @pytest.mark.parametrize("fit", sorted(FITS))
     def test_objective_sees_only_points_of_its_box(self, fit, data, monkeypatch):
-        seen, real = [], estimate.minimize
+        # L-BFGS-B's points lie in the log box; the likelihood's, mapped back, in the linear box:
+        # theta where the correlations are taken, tau^2 where K is factorized, and the variances,
+        # which are not mapped, at the optimizer.  So does the returned estimate.
+        seen, thetas, noises = [], [], []
+        real_minimize, real_corr, real_solve = estimate.minimize, estimate._corr, _Likelihood._solve
 
         def recording(value_and_grad, lower, upper, start, **kwargs):
             def record(x):
                 seen.append((np.all(lower <= x) and np.all(x <= upper), np.any((x == lower) | (x == upper))))
                 return value_and_grad(x)
-            return real(record, lower, upper, start, **kwargs)
+            return real_minimize(record, lower, upper, start, **kwargs)
 
         monkeypatch.setattr(estimate, "minimize", recording)
+        monkeypatch.setattr(estimate, "_corr", lambda f, r, t, *a, **k: thetas.append(t) or real_corr(f, r, t, *a, **k))
+        monkeypatch.setattr(_Likelihood, "_solve", lambda lik, K, noise: noises.append(noise) or real_solve(lik, K, noise))
         fam = "matern32" if data == "gfunction" else "gaussian"
-        res = FITS[fit](STUDY_DATA[data](), fam, 5000 if fit.startswith("ulm") else 200)
-        assert len(seen) == res.trace.total_calls > 50
+        ds = STUDY_DATA[data]()
+        res = FITS[fit](ds, fam, 5000 if fit.startswith("ulm") else 200)
+        assert len(seen) == len(noises) == res.trace.total_calls > 20
         inside, on_edge = np.array(seen).T
         assert inside.all()
         assert on_edge.any()  # the box's faces are reached, not only its interior
+        hb = default_bounds(ds)
+        for values, (lo, hi) in ((np.concatenate([np.ravel(t) for t in thetas]), hb.lengthscale),
+                                 (np.array(noises), hb.noise)):
+            assert np.all((lo <= values) & (values <= hi))
+        p = res.params
+        assert np.all((hb.variance[0] <= p.variances) & (p.variances <= hb.variance[1]))
+        assert np.all((hb.lengthscale[0] <= p.lengthscales) & (p.lengthscales <= hb.lengthscale[1]))
+        assert hb.noise[0] <= p.noise <= hb.noise[1]
 
     @pytest.mark.parametrize("fit", sorted(FITS))
     def test_parameter_checks_do_not_grow_with_the_call_budget(self, fit, monkeypatch):
@@ -612,7 +654,7 @@ class TestTracerContract:
             lik(HyperParams([1.0, 1.0, 1.0], [0.3, 0.4, 0.5], 0.1, "gaussian", comp))
             assert len(calls) == 1
         calls.clear()
-        lik.direction(2, HyperParams([1.0, 0.5, 0.0], [0.3, 0.4, 0.5], 0.1))(np.array([0.2, 0.5, 0.1]))
+        lik.direction(2, HyperParams([1.0, 0.5, 0.0], [0.3, 0.4, 0.5], 0.1), WIDE)(log_point(0.2, 0.5, 0.1))
         assert len(calls) == 1
 
 
@@ -859,8 +901,9 @@ class TestScipyOracle:
         np.testing.assert_array_equal(got.x, want.x)
 
     def test_sentinel_objective(self):
-        vg = _Likelihood(RECTANGLE, np.arange(4.0)).direction(0, HyperParams([0.0, 1.0], [0.6, 0.6], 0.0))
-        res = assert_same_run(vg, *as_box([(0.0, 2.0), (0.1, 1.0), (0.0, 1.0)]), [1.0, 0.6, 0.5])
+        hb = HyperBounds((0.0, 2.0), (0.1, 1.0), (0.0, 1.0))
+        vg = _Likelihood(RECTANGLE, np.arange(4.0)).direction(0, HyperParams([0.0, 1.0], [0.6, 0.6], 0.0), hb)
+        res = assert_same_run(vg, *hb.box(1), log_point(1.0, 0.6, 0.5))
         assert res.value < _lbfgsb._SENTINEL
 
     @pytest.mark.parametrize("n, d", [(30, 3), (60, 6)])
@@ -870,9 +913,9 @@ class TestScipyOracle:
         lik, kick = _Likelihood(ds.X, ds.Y), 0.05 * hb.variance[1] / 10.0
         variances, lengthscales = np.zeros(d), np.full(d, 0.5)
         for l in range(d):  # the first RLM cycle: each visit warm-starts from the previous ones
-            vg = lik.direction(l, HyperParams(variances, lengthscales, hb.noise[1]))
-            res = assert_same_run(vg, *hb.box(1), [kick, 0.5, hb.noise[1]], max_evals=200)
-            variances[l], lengthscales[l] = res.x[0], res.x[1]
+            vg = lik.direction(l, HyperParams(variances, lengthscales, hb.noise[1]), hb)
+            res = assert_same_run(vg, *hb.box(1), log_point(kick, 0.5, hb.noise[1]), max_evals=200)
+            (variances[l],), (lengthscales[l],), _ = estimate._split(res.x, 1, "additive", hb)
 
     @pytest.mark.parametrize("n, d", [(30, 3), (60, 6)])
     @pytest.mark.parametrize("comp", ["additive", "tensor"])
@@ -880,7 +923,7 @@ class TestScipyOracle:
         ds = study_dataset(n, d)
         lower, upper = default_bounds(ds).box(d, comp)
         vg = ulm_objective(ds, "gaussian", comp)
-        assert_same_run(vg, lower, upper, (lower + upper) / 2, max_evals=5000)
+        assert_same_run(vg, lower, upper, (lower + upper) / 2, max_evals=5000)  # a start in the log box
 
 
     @pytest.mark.parametrize("run", [
@@ -918,24 +961,29 @@ class TestULM:
         assert a.best_value == b.best_value
 
     def test_one_run_from_the_box_midpoint(self, monkeypatch):
+        # The midpoint of the linear box, not of the log box L-BFGS-B steps in.
         ds = random_dataset(10, 2, 9)
-        lower, upper = default_bounds(ds).box(2)
+        hb = default_bounds(ds)
         starts, real = [], estimate.minimize
         monkeypatch.setattr(estimate, "minimize",
                             lambda vg, lo, up, x0, **kw: starts.append(x0) or real(vg, lo, up, x0, **kw))
         res = estimate_ulm(ds)
         assert len(starts) == 1 and len(res.trace.records) == 1
-        np.testing.assert_array_equal(starts[0], (lower + upper) / 2)
+        v, t, noise = estimate._split(starts[0], 2, "additive", hb)
+        mid = [(lo + hi) / 2 for lo, hi in (hb.variance, hb.lengthscale, hb.noise)]
+        # exp(log(m)) is m to the last bit or so
+        np.testing.assert_allclose(np.concatenate([v, t, [noise]]), np.repeat(mid, [2, 2, 1]), rtol=1e-15)
         assert (res.trace.records[0].iteration, res.trace.records[0].direction) == (1, 0)
 
     def test_recovers_known_hyperparameters(self):
-        # Fit a d=1 path drawn from a known kernel; the estimates should land
-        # within 50% of the truth on this seed.
+        # Fit a d=1 path drawn from a known kernel: the lengthscale lands within 50% of the truth
+        # on this seed, and ULM reaches RLM's optimum (l = -394.488 at sigma^2 = 0.177, theta =
+        # 0.181), where linear-coordinate ULM stopped at l = -385.93.
         true = make_kernel("gaussian", [1.0], [0.2])
         X = lhs_maximin(30, 1, seed=0, n_improvement_steps=500)
         y = sample_gp_path(true, X, seed=0)
         res = estimate_ulm(Dataset(X, y), family="gaussian")
-        assert abs(res.params.variances[0] - 1.0) <= 0.5
+        assert abs(res.best_value - estimate_rlm(Dataset(X, y), family="gaussian").best_value) <= 1e-6
         assert abs(res.params.lengthscales[0] - 0.2) <= 0.1
 
     def test_tensor_shares_one_variance(self):
@@ -990,12 +1038,12 @@ class TestRLM:
         theta0 = float(np.clip(0.5, hb.lengthscale[0], hb.lengthscale[1]))
         kick = 0.05 * hb.variance[1] / 10.0
 
-        def vg(x3):
-            p = HyperParams([x3[0]], [x3[1]], float(x3[2]))
-            g = nll_gradient(p, centered)
+        def vg(x3):  # over (sigma^2, log theta, log tau^2), from the public linear gradient
+            p = HyperParams([x3[0]], [math.exp(x3[1])], math.exp(x3[2]))
+            g = nll_gradient(p, centered) * [1.0, p.lengthscales[0], p.noise]
             return neg_log_likelihood(p, centered), g
 
-        replay = minimize(vg, *hb.box(1), [kick, theta0, hb.noise[1]], max_evals=200)
+        replay = minimize(vg, *hb.box(1), log_point(kick, theta0, hb.noise[1]), max_evals=200)
         assert res.trace.records[0].best_value == pytest.approx(replay.value, rel=1e-12)
         assert res.trace.records[0].n_calls == replay.n_calls
 
@@ -1042,6 +1090,23 @@ class TestResponseMean:
         want = estimate_vector(run(Dataset(X, Y), hb))
         got = estimate_vector(run(Dataset(X, Y + 100.0), hb))
         np.testing.assert_allclose(got, want, rtol=1e-6)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("run", [
+        lambda ds, hb: estimate_rlm(ds, "gaussian", bounds=hb, n_iterations=2),
+        lambda ds, hb: estimate_ulm(ds, "gaussian", bounds=hb),
+        lambda ds, hb: estimate_ulm(ds, "gaussian", "tensor", bounds=hb),
+    ], ids=["rlm", "ulm-additive", "ulm-tensor"])
+    def test_a_shifted_response_gives_the_same_gaussian_estimate(self, run, seed):
+        # The Gaussian kernel on smooth noise-free data: stepping in linear theta and tau^2, these
+        # fits moved by up to 132% in a parameter (RLM, seed 1) when Y + 100 replaced Y; in log
+        # theta and log tau^2 they move by 7e-5 at most.
+        X = lhs_maximin(15, 2, seed=seed, n_improvement_steps=200)
+        Y = np.sin(4 * X[:, 0]) + X[:, 1] ** 2
+        hb = default_bounds(Dataset(X, Y))
+        want, got = (estimate_vector(run(Dataset(X, y), hb)) for y in (Y, Y + 100.0))
+        np.testing.assert_allclose(got[:-1], want[:-1], rtol=1e-2)
+        assert abs(got[-1] - want[-1]) <= 1e-2
 
     @pytest.mark.parametrize("method", ["rlm-additive", "ulm-additive", "ulm-tensor"])
     def test_study_runs_estimate_on_the_dataset_they_are_given(self, method, monkeypatch):
@@ -1095,7 +1160,7 @@ class TestHelpers:
 
     def test_optimization_layout(self):
         # HyperBounds.box, _split and the gradient share one layout:
-        # the variances (one for tensor), the lengthscales, then tau^2.
+        # the variances (one for tensor), the log lengthscales, then log tau^2.
         hb = HyperBounds((0.0, 2.0), (0.1, 3.0), (1e-6, 1.0))
         for d in (1, 3):
             ds = random_dataset(8, d, 40)
@@ -1103,16 +1168,25 @@ class TestHelpers:
                 lower, upper = hb.box(d, comp)
                 n_var = d if comp == "additive" else 1
                 for got, i in ((lower, 0), (upper, 1)):
-                    want = [hb.variance[i]] * n_var + [hb.lengthscale[i]] * d + [hb.noise[i]]
+                    want = [hb.variance[i]] * n_var + [math.log(hb.lengthscale[i])] * d + [math.log(hb.noise[i])]
                     assert got.dtype == np.float64 and got.flags.c_contiguous
                     np.testing.assert_array_equal(got, want)
                 v, t = np.linspace(0.5, 1.5, n_var), np.linspace(0.2, 0.8, d)
-                p = HyperParams(*estimate._split(np.concatenate([v, t, [0.05]]), d, comp), "matern32", comp)
+                x = np.concatenate([v, np.log(t), [math.log(0.05)]])
+                p = HyperParams(*estimate._split(x, d, comp, hb), "matern32", comp)
                 assert len(nll_value_and_grad(p, ds)[1]) == len(lower)
                 want_v = v if comp == "additive" else np.concatenate([v, np.ones(d - 1)])
                 np.testing.assert_array_equal(p.variances, want_v)
-                np.testing.assert_array_equal(p.lengthscales, t)
-                assert (p.noise, p.family, p.composition) == (0.05, "matern32", comp)
+                np.testing.assert_allclose(p.lengthscales, t, rtol=1e-15)
+                assert p.noise == pytest.approx(0.05, rel=1e-15)
+                assert (p.family, p.composition) == ("matern32", comp)
+                # Mapped back, the corners stay in the box, though exp(log(3.0)) is 3.0000000000000004.
+                for corner, i in ((lower, 0), (upper, 1)):
+                    p = HyperParams(*estimate._split(corner, d, comp, hb), "matern32", comp)
+                    np.testing.assert_allclose(p.lengthscales, hb.lengthscale[i], rtol=1e-15)
+                    assert np.all((hb.lengthscale[0] <= p.lengthscales) & (p.lengthscales <= hb.lengthscale[1]))
+                    assert p.noise == pytest.approx(hb.noise[i], rel=1e-15)
+                    assert hb.noise[0] <= p.noise <= hb.noise[1]
 
     def test_bounds_validation(self):
         HyperBounds((0.7, 0.7), (0.1, 0.1), (0.0, 0.0))  # collapsed boxes are valid
@@ -1142,10 +1216,14 @@ class TestHelpers:
             hb.box(2, "foo")
 
     def test_bounds_at_the_objective_domain_edge_are_valid(self):
-        # Zero variances and zero noise are evaluable; so are collapsed boxes there.
+        # Zero variances and zero noise are evaluable; so are collapsed boxes there.  A zero tau^2
+        # bound is the log of the smallest normal float to L-BFGS-B, and 0 again mapped back.
         hb = HyperBounds((0.0, 0.0), (1e-3, 1e-3), (0.0, 0.0))
+        tiny = np.finfo(float).tiny
         for bound in hb.box(2):
-            np.testing.assert_array_equal(bound, [0.0, 0.0, 1e-3, 1e-3, 0.0])
+            np.testing.assert_array_equal(bound, [0.0, 0.0, math.log(1e-3), math.log(1e-3), math.log(tiny)])
+            v, t, noise = estimate._split(bound, 2, "additive", hb)
+            np.testing.assert_array_equal(np.concatenate([v, t, [noise]]), [0.0, 0.0, 1e-3, 1e-3, 0.0])
 
     def test_trace_csv(self, tmp_path):
         ds = random_dataset(8, 1, 19)

@@ -291,10 +291,10 @@ def reference_corr(family, r, theta, dlog=False):
     if family == "gaussian":
         z = (r / theta) ** 2
         R = np.exp(-0.5 * z)
-        return (R, z / theta) if dlog else R
+        return (R, z) if dlog else R
     s = math.sqrt(3.0) * r / theta
     R = (1.0 + s) * np.exp(-s)
-    return (R, s**2 / ((1.0 + s) * theta)) if dlog else R
+    return (R, s**2 / (1.0 + s)) if dlog else R
 
 
 def reference_cross_cov(kernel, X, Y):

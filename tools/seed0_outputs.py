@@ -3,6 +3,7 @@
     python tools/seed0_outputs.py ROOT      # write the outputs into ROOT and print their sha256
     python tools/seed0_outputs.py --record  # write them in a temporary directory into RECORD
     python tools/seed0_outputs.py --check   # write them in a temporary directory, compare with RECORD
+    python tools/seed0_outputs.py --margins # print criteria 1, 2 and 8 at master seeds 0-11 as JSON
 
 ROOT must not exist yet.  The script runs, each in its own process with this checkout's ``src``
 first on the path and BLAS on one thread:
@@ -24,6 +25,13 @@ kernel), the CPU model and the BLAS thread setting.  The floats depend on all of
 "not comparable" and exits 2.  It exits 1 and names each file that differs, is missing or is
 new, and exits 0 when every file matches.  A change that moves floats on purpose rewrites the
 record with ``--record`` in the same commit.
+
+``--margins`` shows how far such a change moves the oracle.  For each master seed 0-11 it runs
+both studies at their defaults, each seed in its own process as above, and prints as JSON the
+values of acceptance criteria 1, 2 and 8 with pass or fail, the monotone count of criterion 2,
+and the objective calls per method.  It ends with how many seeds pass each criterion and at
+which seeds each clause of criterion 8 fails.  The frozen suite checks seed 0 only; the other
+seeds show whether a pass there is a margin or a coin flip.
 """
 
 from __future__ import annotations
@@ -31,11 +39,13 @@ from __future__ import annotations
 import argparse
 import ctypes
 import hashlib
+import json
 import os
 import platform
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +55,7 @@ import scipy.linalg  # loads scipy's OpenBLAS, so that its configuration can be 
 SRC = Path(__file__).resolve().parents[1] / "src"
 RECORD = Path(__file__).resolve().with_name("seed0_record.txt")
 THREADS = {"OPENBLAS_NUM_THREADS": "1"}
+MARGIN_SEEDS = range(12)
 
 FITS = [("rlm", "gaussian", "additive"), ("rlm", "matern32", "additive"),
         ("ulm", "gaussian", "additive"), ("ulm", "matern32", "additive"),
@@ -79,21 +90,84 @@ def write_outputs(root: Path) -> dict[str, str]:
     write_rows(root / "data.csv", ["x1", "x2", "x3", "y"], np.column_stack([X, y]))
     write_rows(root / "points.csv", ["x1", "x2", "x3"], rng.uniform(size=(1203, 3)))
 
-    for study in ("gfunction", "paths"):
-        run(root, f"bench-{study}", "bench", study, "--seed", "0")
+    # Jobs of commands that run in order (a model is fitted before it is used); two jobs at a time.
+    jobs = [[(f"bench-{study}", "bench", study, "--seed", "0")] for study in ("gfunction", "paths")]
     for method, kernel, comp in FITS:
         fit = f"fit-{method}-{kernel}-{comp}"
-        run(root, fit, "fit", "--data", "data.csv", "--method", method, "--kernel", kernel,
-            "--composition", comp, "--seed", "0")
         model = f"{fit}/model.json"
-        run(root, f"{fit}-predict", "predict", "--model", model, "--points", "points.csv")
-        for direction in ("1", "3"):
-            run(root, f"{fit}-effects{direction}", "effects", "--model", model,
-                "--direction", direction, "--grid-size", "777")
-    for command in ("", "fit", "predict", "effects", "bench"):
-        run(root, f"help-{command or 'main'}", *filter(None, [command]), "--help")
+        jobs.append([(fit, "fit", "--data", "data.csv", "--method", method, "--kernel", kernel,
+                      "--composition", comp, "--seed", "0"),
+                     (f"{fit}-predict", "predict", "--model", model, "--points", "points.csv")]
+                    + [(f"{fit}-effects{direction}", "effects", "--model", model, "--direction",
+                        direction, "--grid-size", "777") for direction in ("1", "3")])
+    jobs.append([(f"help-{command or 'main'}", *filter(None, [command]), "--help")
+                 for command in ("", "fit", "predict", "effects", "bench")])
+    with ThreadPoolExecutor(2) as pool:
+        list(pool.map(lambda job: [run(root, *command) for command in job], jobs))
     return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def seed_margins(seed: int) -> dict:
+    """Criteria 1, 2 and 8 as ``tests/test_acceptance.py`` computes them, at master seed ``seed``,
+    and the objective calls per study and method."""
+    from addkrig.bench import (GFunctionBenchConfig, PathsBenchConfig, run_gfunction_benchmark,
+                               run_paths_benchmark)
+
+    g = run_gfunction_benchmark(GFunctionBenchConfig(master_seed=seed))
+    p = run_paths_benchmark(PathsBenchConfig(master_seed=seed))
+    q2 = {m: g.q2_stats(m)[0] for m in ("rlm-additive", "ulm-additive", "ulm-tensor")}
+    rlm = g.by_method("rlm-additive")
+    monotone = 0
+    for r in rlm:
+        taus = g.traces[r.run_id].noise_by_iteration()
+        seq = [taus[k] for k in sorted(taus) if k >= 2]
+        monotone += all(b <= 1.1 * a for a, b in zip(seq, seq[1:]))
+    small = sum(r.tau2_final <= 0.05 for r in rlm)
+    gaps = {d: float(np.median(p.final_l("ulm-additive", d)) - np.median(p.final_l("rlm-additive", d)))
+            for d in (3, 6)}
+    calls = {}
+    for study, report in (("gfunction", g), ("paths", p)):
+        for r in report.records:
+            key = f"{study}/{r.method}"
+            calls[key] = calls.get(key, 0) + report.traces[r.run_id].total_calls
+    for study in ("gfunction", "paths"):
+        calls[study] = sum(v for k, v in calls.items() if k.startswith(f"{study}/"))
+    return {
+        "seed": seed,
+        "criterion_1": {"pass": bool(not g.failures and 0.85 <= q2["rlm-additive"] <= 0.95
+                                     and 0.80 <= q2["ulm-additive"] <= 0.95
+                                     and q2["ulm-tensor"] < q2["rlm-additive"]),
+                        "mean_q2": q2},
+        "criterion_2": {"pass": small >= 15 and monotone >= 15, "tau2_small": small,
+                        "monotone": monotone, "of": len(rlm)},
+        "criterion_8": {"pass": bool(not p.failures and 0 <= gaps[3] <= gaps[6]),
+                        "gap_d3": gaps[3], "gap_d6": gaps[6]},
+        "failed_runs": len(g.failures) + len(p.failures),
+        "calls": calls,
+    }
+
+
+def margins() -> dict:
+    """:func:`seed_margins` at every seed of MARGIN_SEEDS, each in its own process, and a tally."""
+    tools = str(Path(__file__).resolve().parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), tools]), **THREADS}
+    seeds = []
+    for seed in MARGIN_SEEDS:
+        code = f"import json, seed0_outputs; print(json.dumps(seed0_outputs.seed_margins({seed})))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              check=True)
+        seeds.append(json.loads(proc.stdout))
+    gaps = {s["seed"]: (s["criterion_8"]["gap_d3"], s["criterion_8"]["gap_d6"]) for s in seeds}
+    return {
+        **header(),
+        "seeds": seeds,
+        "passing": {f"criterion_{k}": sum(s[f"criterion_{k}"]["pass"] for s in seeds) for k in (1, 2, 8)},
+        "criterion_8_fails": {  # by clause: RLM's median l above ULM's at d = 3, or a gap that shrinks with d
+            "d3_gap_negative": [seed for seed, (g3, _) in gaps.items() if g3 < 0],
+            "gap_shrinks_with_d": [seed for seed, (g3, g6) in gaps.items() if g6 < g3],
+        },
+    }
 
 
 def blas_builds() -> str:
@@ -178,8 +252,11 @@ if __name__ == "__main__":
     mode.add_argument("root", nargs="?", type=Path, help="directory to write the outputs into")
     mode.add_argument("--record", action="store_true", help=f"write {RECORD.name}")
     mode.add_argument("--check", action="store_true", help=f"compare with {RECORD.name}")
+    mode.add_argument("--margins", action="store_true", help="print criteria 1, 2 and 8 at seeds 0-11")
     args = parser.parse_args()
-    if args.record:
+    if args.margins:
+        print(json.dumps(margins(), indent=1))
+    elif args.record:
         record()
     elif args.check:
         sys.exit(check())
