@@ -251,8 +251,9 @@ class _Likelihood:
 def nll_value_and_grad(params: HyperParams, dataset: Dataset) -> tuple[float, np.ndarray]:
     """Objective value and analytic gradient from one Cholesky factorization.
 
-    The gradient is over the optimization vector of :meth:`HyperBounds.box`
-    {sigma_i^2, theta_i, tau^2}, from d l = tr(K^-1 dK) - alpha^T dK alpha with
+    The gradient is over the linear parameters {sigma_i^2, theta_i, tau^2}, in the
+    layout of :meth:`HyperBounds.box` but not over its log theta_i and log tau^2
+    entries, from d l = tr(K^-1 dK) - alpha^T dK alpha with
     alpha = K^-1 Y.  For the tensor composition the variance block collapses to
     the single overall variance (direction 0).
     """

@@ -269,76 +269,49 @@ class TestLHSEarlyRejection:
         assert peak < 2**20  # the 1000 x 1000 x 4 difference tensor alone is 32 MB
 
 
-class TestBatchedProposals:
-    # lhs_maximin reads its proposals off the PCG64 stream in batches; rng.choice and rng.integers
-    # one step at a time are the reference and the fallback.
-    def test_lemire_draws_by_hand(self):
-        # n = 5, d = 3: i on [0, 3], j on [0, 4], the keep-or-swap bit on [0, 1], k on [0, 2];
-        # a word w draws (w r) >> 32 on [0, r - 1].
-        u = np.array([[0, 2**31, 2**31, 2**32 - 1],  # i 0, j 2, kept, k 2
-                      [2**31, 2**31, 0, 2**31]], dtype=np.uint64)  # i 2, j 2 taken as 4, swapped, k 1
-        i, j, k = bench_mod._lemire_proposals(u, 5, 3)
-        assert (i.tolist(), j.tolist(), k.tolist()) == ([0, 4], [2, 2], [2, 1])
+def _stepwise_proposals(rng, n, d, steps):
+    """The proposals of lhs_maximin drawn one step at a time, as the reference for the batch."""
+    i, j, k = np.empty((3, steps), dtype=np.int64)
+    for s in range(steps):
+        i[s], j[s] = rng.choice(n, size=2, replace=False)
+        k[s] = rng.integers(d)
+    return i, j, k
 
-    def test_word_that_lemire_rejects_goes_to_the_per_step_draws(self):
-        # For n = 4 the first draw is on [0, 2]: the word 0 leaves 0 in the low bits of 0 * 3,
-        # below 2^32 mod 3 = 1, so numpy rejects it and reads another word.
-        u = np.array([[0, 2**31, 2**31, 2**31]], dtype=np.uint64)
-        assert bench_mod._lemire_proposals(u, 4, 3) is None
-        # The same word as the half word a generator has left over, the first one a draw reads.
-        state = {**np.random.default_rng(3).bit_generator.state, "has_uint32": 1, "uinteger": 0}
-        batched, stepwise = np.random.default_rng(), np.random.default_rng()
-        batched.bit_generator.state = stepwise.bit_generator.state = state
-        assert bench_mod._batched_proposals(batched, 4, 3, 50) is None
-        assert batched.bit_generator.state == state  # untouched, for the fallback to draw from
-        got = bench_mod._draw_proposals(batched, 4, 3, 50)
-        np.testing.assert_array_equal(got, bench_mod._stepwise_proposals(stepwise, 4, 3, 50))
-        assert batched.bit_generator.state == stepwise.bit_generator.state
 
-    @pytest.mark.parametrize("n, d", [(3, 2), (40, 4), (60, 6)])
-    def test_batch_matches_per_step_draws_with_and_without_a_half_word(self, n, d):
+class TestDrawProposals:
+    # lhs_maximin draws a batch of proposals in one rng.integers call; rng.choice and rng.integers
+    # one step at a time are the reference, for the proposals and for the state left behind.
+    @pytest.mark.parametrize("n, d", [(2, 3), (10, 1), (3, 2), (40, 4), (60, 6), (2**31 + 7, 3)])
+    def test_matches_per_step_draws_with_and_without_a_half_word(self, n, d):
+        # (2, 3) and (10, 1) hold a range of one value, a draw that reads no bits; at n = 2^31 + 7
+        # about half of the words drawn on [0, n - 2] and [0, n - 1] are rejected and redrawn.
         batched, stepwise = np.random.default_rng(n * d), np.random.default_rng(n * d)
         for _ in range(3):
-            got = bench_mod._batched_proposals(batched, n, d, 1000)
-            np.testing.assert_array_equal(got, bench_mod._stepwise_proposals(stepwise, n, d, 1000))
+            got = bench_mod._draw_proposals(batched, n, d, 1000)
+            np.testing.assert_array_equal(got, _stepwise_proposals(stepwise, n, d, 1000))
             assert batched.bit_generator.state == stepwise.bit_generator.state
             batched.integers(7), stepwise.integers(7)  # a 32-bit draw: flips the half word left over
 
-    def test_probe_finds_this_numpy_draws_as_the_batch(self):
-        # Otherwise every design takes the per-step draws: right, but several times slower.
-        assert bench_mod._batched_draw_matches.__wrapped__()
-
-    def test_probe_that_reports_a_mismatch_keeps_every_design(self, monkeypatch):
-        def refused(*args):
-            raise AssertionError("batched draw used after the probe refused it")
-
-        monkeypatch.setattr(bench_mod, "_batched_draw_matches", lambda: False)
-        monkeypatch.setattr(bench_mod, "_batched_proposals", refused)
-        for n, d, seed in [(40, 4, 1000), (10, 2, 3), (30, 3, 3)]:
-            np.testing.assert_array_equal(
-                lhs_maximin(n, d, seed=seed, n_improvement_steps=2000),
-                reference_lhs_maximin(n, d, seed=seed, n_improvement_steps=2000),
-            )
-
-    @pytest.mark.parametrize("n, d", [(2, 3), (10, 1)])
-    def test_ranges_of_one_value_take_the_per_step_draws(self, n, d, monkeypatch):
-        def refused(*args):
-            raise AssertionError("a draw on one value reads no bits; the batch assumes it does")
-
-        monkeypatch.setattr(bench_mod, "_batched_proposals", refused)
-        np.testing.assert_array_equal(lhs_maximin(n, d, seed=5, n_improvement_steps=300),
-                                      reference_lhs_maximin(n, d, seed=5, n_improvement_steps=300))
+    def test_word_that_lemire_rejects_is_redrawn_as_per_step(self):
+        # For n = 4 the first draw is on [0, 2]: the word 0 leaves 0 in the low bits of 0 * 3,
+        # below 2^32 mod 3 = 1, so numpy rejects it and reads another word.  Here it is the half
+        # word a generator has left over, the first one a draw reads.
+        state = {**np.random.default_rng(3).bit_generator.state, "has_uint32": 1, "uinteger": 0}
+        batched, stepwise = np.random.default_rng(), np.random.default_rng()
+        batched.bit_generator.state = stepwise.bit_generator.state = state
+        got = bench_mod._draw_proposals(batched, 4, 3, 50)
+        np.testing.assert_array_equal(got, _stepwise_proposals(stepwise, 4, 3, 50))
+        assert batched.bit_generator.state == stepwise.bit_generator.state
 
     def test_memory_is_bounded_by_the_batch(self):
-        bench_mod._batched_draw_matches()  # the probe's own arrays are not this run's
         tracemalloc.start()
         try:
             lhs_maximin(60, 2, seed=0, n_improvement_steps=100_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 24 batches of 4096 proposals; drawing all 100,000 at once would hold 3.2 MB of words
-        # and as much again for each of their products.
+        # 24 batches of 4096 proposals; drawing all 100,000 at once would hold 3.2 MB of draws
+        # and as much again for each array made from them.
         assert peak < 2**21
 
 

@@ -308,15 +308,21 @@ class TestBench:
         rows = (out / "report.csv").read_text().strip().splitlines()
         assert len(rows) == 3  # header + 2 methods x 1 path
 
-    def test_failed_paths_exit_partial(self, tmp_path, capsys):
+    @pytest.mark.parametrize("study, config, runs", [
         # A zero true variance makes every path constant, so no path can be fitted.
+        ("paths", {"true_variance": 0.0, "n_paths": 2, "dims": [2], "points_per_dim": 4,
+                   "lhs_steps": 5}, ["d2-p000", "d2-p001"]),
+        # Coefficients this large round every g-function response to 1.
+        ("gfunction", {"a": [1e17, 1e17], "n_designs": 1, "design_size": 5, "test_size": 10,
+                       "lhs_steps": 5}, ["g000"]),
+    ], ids=["paths", "gfunction"])
+    def test_constant_responses_exit_partial(self, tmp_path, capsys, study, config, runs):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"true_variance": 0.0, "n_paths": 2, "dims": [2],
-                                   "points_per_dim": 4, "lhs_steps": 5}))
+        cfg.write_text(json.dumps(config))
         out = tmp_path / "bench"
-        assert main(["bench", "paths", "--config", str(cfg), "--out", str(out)]) == EXIT_PARTIAL
+        assert main(["bench", study, "--config", str(cfg), "--out", str(out)]) == EXIT_PARTIAL
         assert capsys.readouterr().err.splitlines() == [
-            f"failed: d2-p00{p}: constant responses: nothing to estimate" for p in range(2)]
+            f"failed: {run}: constant responses: nothing to estimate" for run in runs]
         assert (out / "summary.json").is_file()
 
     def test_seed_flag_wins_and_is_echoed(self, tmp_path):
