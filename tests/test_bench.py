@@ -247,6 +247,17 @@ class TestLHSEarlyRejection:
                 reference_lhs_maximin(n, d, seed=seed, n_improvement_steps=2000),
             )
 
+    @pytest.mark.parametrize("extra", [0, 1, bench_mod._PROPOSAL_CHUNK + 5])
+    def test_designs_across_batches_match_full_evaluation(self, extra):
+        # Proposals are drawn a batch at a time; each batch goes on from the generator state
+        # the last one left, and the last batch is cut to the steps that remain.
+        steps = bench_mod._PROPOSAL_CHUNK + extra
+        for n, d in [(30, 3), (7, 2)]:
+            np.testing.assert_array_equal(
+                lhs_maximin(n, d, seed=steps, n_improvement_steps=steps),
+                reference_lhs_maximin(n, d, seed=steps, n_improvement_steps=steps),
+            )
+
     def test_most_proposals_skip_the_distance_rows(self, monkeypatch):
         calls = [0]
         rows = bench_mod._min_sq_dist_rows
