@@ -71,25 +71,26 @@ def minimize(value_and_grad, lower, upper, start, max_evals: int = 1000) -> OptR
     iwa = np.zeros(3 * n, np.int32)
     task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
     isave, dsave = np.zeros(44, np.int32), np.zeros(29)
-    x_done, done, n_calls, n_iterations = None, None, 0, 0
+    last, done, n_calls, n_iterations = None, None, 0, 0
     best_x, best_f = None, np.inf
     while True:
         setulb(_M, x, lower, upper, nbd, f, g, _FACTR, _PGTOL, wa, iwa, task, lsave, isave, dsave,
                _MAXLS, ln_task)
         if task[0] == _FG:
-            if x_done is None or not (x == x_done).all():
-                x_done = x.copy()
+            point = x.tolist()  # compared as a list, which costs less than an array comparison
+            if point != last:
+                last = point
                 n_calls += 1
                 try:
                     value, grad = value_and_grad(x.copy())
                 except np.linalg.LinAlgError:
-                    value = _SENTINEL * (1.0 + float(np.sum(np.square(x_done))))
-                    grad = 2.0 * _SENTINEL * x_done
+                    value = _SENTINEL * (1.0 + float(np.sum(np.square(point))))
+                    grad = 2.0 * _SENTINEL * np.array(point)
                 else:
                     if not math.isfinite(value):
                         value, grad = _SENTINEL, np.zeros(n)
                     elif value < best_f:
-                        best_x, best_f = x_done, value
+                        best_x, best_f = point, value
                 grad = np.asarray(grad, dtype=np.float64)
                 if grad.shape != (n,):
                     raise ValueError(f"gradient of shape {grad.shape} for {n} parameters")
@@ -106,4 +107,4 @@ def minimize(value_and_grad, lower, upper, start, max_evals: int = 1000) -> OptR
             break
     if best_x is None:
         raise np.linalg.LinAlgError("objective never evaluated successfully")
-    return OptResult(np.clip(best_x, lower, upper), best_f, n_calls, bool(task[0] == _CONVERGENCE))
+    return OptResult(np.clip(np.array(best_x), lower, upper), best_f, n_calls, bool(task[0] == _CONVERGENCE))

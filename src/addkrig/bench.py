@@ -408,6 +408,11 @@ def run_gfunction_benchmark(config: GFunctionBenchConfig = GFunctionBenchConfig(
     rng_test = np.random.default_rng(config.master_seed)
     X_test = rng_test.uniform(size=(config.test_size, d))
     y_test = g_function(X_test, spec)
+    try:  # checked once: no design can be scored on a test sample whose responses are constant
+        q2(y_test, y_test)
+        unscorable = ""
+    except ValueError as exc:
+        unscorable = f"test sample: {exc}"
 
     for run in range(config.n_designs):
         seed = config.master_seed + 1000 + run
@@ -417,6 +422,9 @@ def run_gfunction_benchmark(config: GFunctionBenchConfig = GFunctionBenchConfig(
             bounds = default_bounds(dataset)
         except ValueError as exc:  # coefficients so large that every response rounds to one value
             report.failures.append(f"g{run:03d}: {exc}")
+            continue
+        if unscorable:
+            report.failures.append(f"g{run:03d}: {unscorable}")
             continue
         for method in config.methods:
             _run(report, f"g{run:03d}-{method}", method, dataset, bounds, config, seed, (X_test, y_test))

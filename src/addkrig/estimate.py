@@ -161,36 +161,44 @@ def default_bounds(dataset: Dataset) -> HyperBounds:
 
 
 class _Likelihood:
-    """The objective on a design X and responses Y, with its |x_i - x_j| built once as a d x n x n stack.
+    """The objective on a design X and responses Y, with its |x_i - x_j| built once over the
+    strict upper triangle i < j: a d x m array, m = n(n-1)/2, the pairs in row-major order.
 
-    One Cholesky factorization per call; gradient entries are <W, dK/dp> with W = K^-1 -
-    alpha alpha^T (Rasmussen & Williams 2006, 5.4.1); dK/d log theta_i is the covariance term
-    holding theta_i times q_i = d log r_i / d log theta_i.  It checks no parameter: each comes
-    from a checked HyperParams or from L-BFGS-B through :func:`_split`, which keeps every point
-    inside a HyperBounds box, all of whose points are valid."""
+    One Cholesky factorization per call, of K put into the upper triangle of one n x n buffer,
+    its packed cells summed as cov_matrix sums them.  Gradient entries are <W, dK/dp> with
+    W = K^-1 - alpha alpha^T (Rasmussen & Williams 2006, 5.4.1), summed over that triangle:
+    2 W_p . dK_p, plus tr W for a variance, whose dK/dp is a correlation with ones on the
+    diagonal.  dK/d log theta_i is the covariance term holding theta_i times q_i = d log r_i /
+    d log theta_i, zero on the diagonal.  It checks no parameter: each comes from a checked
+    HyperParams or from L-BFGS-B through :func:`_split`, which keeps every point inside a
+    HyperBounds box, all of whose points are valid."""
 
     def __init__(self, X: np.ndarray, Y: np.ndarray):
         self.Y = Y
-        X = np.ascontiguousarray(X.T)  # C-ordered slices keep every summation order
-        self.dist = np.abs(X[:, :, None] - X[:, None, :])
+        n = len(Y)
+        self._pairs = i, j = np.triu_indices(n, 1)
+        self._upper = i * n + j  # flat indices into an n x n array
+        self.dist = np.abs(X[i] - X[j]).T  # pair-major, which sets the order BLAS sums R @ W in
         self._buf = np.empty_like(self.dist), np.empty_like(self.dist)  # every call's R and q
+        self._K = np.empty((n, n))
+        self._flat = self._K.reshape(-1)
 
-    def _solve(self, K: np.ndarray, noise: float) -> tuple[float, np.ndarray]:
-        """(value, W) from one factorization of K + tau^2 I through ``cholesky``, then LAPACK's
-        dpotrs and dpotri called directly; K is overwritten by L and then by W."""
-        L = cholesky(K, noise)
+    def _solve(self, K: np.ndarray, diag: float, noise: float) -> tuple[float, np.ndarray, float]:
+        """(value, W_p, tr W) for the covariance with the packed strict upper triangle K,
+        ``diag`` on the diagonal and tau^2 I added.  The engine's buffer is factored in place
+        through ``cholesky``, which reads only that triangle, and LAPACK's dpotrs and dpotri are
+        called directly; dpotri leaves K^-1 in the same triangle, so W_p, W's packed strict upper
+        triangle, is gathered from it."""
+        self._flat[self._upper] = K
+        self._flat[::len(self.Y) + 1] = diag
+        L = cholesky(self._K, noise)
         alpha = dpotrs(L, self.Y, lower=1)[0]
         value = 2.0 * float(np.log(L.diagonal()).sum()) + float(self.Y @ alpha)
-        # K^-1 in L's place (it cannot fail: the pivots are > 0); transposed, it is C-ordered
-        # with the upper triangle set and zeros below (clean=1), so mirroring it doubles only
-        # the diagonal, which is then put back.
-        W = dpotri(L, lower=1, overwrite_c=1)[0].T
-        diag = W.reshape(-1)[::len(W) + 1]
-        kept = diag.copy()
-        W += W.T
-        diag[:] = kept
-        W -= alpha[:, None] * alpha
-        return value, W
+        inv = dpotri(L, lower=1, overwrite_c=1)[0].T  # C-ordered, K^-1 in the upper triangle
+        W = inv.take(self._upper)
+        i, j = self._pairs
+        W -= alpha[i] * alpha[j]
+        return value, W, float(inv.trace() - alpha @ alpha)
 
     def __call__(self, p: HyperParams) -> tuple[float, np.ndarray]:
         """(value, gradient over {sigma_i^2 (sigma_0^2 alone for tensor), theta_i, tau^2})."""
@@ -199,27 +207,23 @@ class _Likelihood:
     def _evaluate(self, family, composition, variances, lengthscales, noise, log=True):
         """(value, gradient) over the layout of :meth:`HyperBounds.box`; with ``log`` the theta
         and tau^2 entries are over their logs, as L-BFGS-B steps, and otherwise over themselves."""
-        R, q = _corr(family, self.dist, lengthscales[:, None, None], dlog=True, out=self._buf)
+        R, q = _corr(family, self.dist, lengthscales[:, None], dlog=True, out=self._buf)
+        v = variances.tolist()
         if composition == "additive":
-            K = variances[0] * R[0]
-            for v, Ri in zip(variances[1:], R[1:]):
-                K += v * Ri
-            value, W = self._solve(K, noise)
-            WR = np.multiply(W, R, out=R)
-            grad = np.empty(2 * len(R) + 1)
-            WR.sum(axis=(1, 2), out=grad[:len(R)])  # one pairwise sum per C-ordered slice
-            grad[len(R):-1] = [np.vdot(x, qi) for x, qi in zip(WR, q)]
-            grad[len(R):-1] *= variances
+            K = v[0] * R[0]
+            for vi, Ri in zip(v[1:], R[1:]):
+                K += vi * Ri
+            value, W, trace = self._solve(K, sum(v), noise)
+            q *= R
+            grad = np.concatenate([2.0 * (R @ W) + trace, 2.0 * variances * (q @ W), [trace]])
         else:
-            P = math.prod(R)  # correlation product
-            scale = np.prod(variances)
-            value, W = self._solve(scale * P, noise)
-            WP = np.multiply(W, P, out=P)
-            grad = np.empty(len(R) + 2)
-            grad[0] = np.prod(variances[1:]) * WP.sum()
-            grad[1:-1] = [np.vdot(WP, qi) for qi in q]
-            grad[1:-1] *= scale
-        grad[-1] = W.trace()
+            P, scale = math.prod(R), math.prod(v)  # correlation product, variance product
+            K = scale * R[0]
+            for Ri in R[1:]:
+                K *= Ri
+            value, W, trace = self._solve(K, scale, noise)
+            q *= P
+            grad = np.concatenate([[math.prod(v[1:]) * (2.0 * (P @ W) + trace)], 2.0 * scale * (q @ W), [trace]])
         if log:
             grad[-1] *= noise
         else:
@@ -229,11 +233,13 @@ class _Likelihood:
     def direction(self, l: int, p: HyperParams, bounds: HyperBounds):
         """Objective over (sigma_l^2, log theta_l, log tau^2), the vector of ``bounds.box(1)``,
         with the other directions of the additive ``p`` fixed in K_rest = sum_{j != l} sigma_j^2
-        r_j: a call evaluates one correlation."""
-        family, dist, t_box, noise_box = p.family, self.dist[l], bounds.lengthscale, bounds.noise
-        buf = np.empty_like(dist), np.empty_like(dist)  # this closure's R and q
-        K_rest = sum(v * _corr(family, r, t, out=buf)
-                     for j, (r, v, t) in enumerate(zip(self.dist, p.variances, p.lengthscales)) if j != l)
+        r_j, packed: a call evaluates one correlation."""
+        family, t_box, noise_box = p.family, bounds.lengthscale, bounds.noise
+        dist = np.ascontiguousarray(self.dist[l])  # a row of the pair-major array is strided
+        buf = np.empty((2, len(dist)))  # this closure's R and q
+        rest = [j for j in range(p.dims) if j != l]
+        K_rest = sum(p.variances[j] * _corr(family, self.dist[j], p.lengthscales[j], out=buf) for j in rest)
+        diag_rest = sum(p.variances[rest].tolist())
 
         def value_and_grad(x):
             v, log_t, log_noise = x.tolist()  # as _split reads it, without its arrays
@@ -241,9 +247,9 @@ class _Likelihood:
             R, q = _corr(family, dist, t, dlog=True, out=buf)
             K = v * R
             K += K_rest
-            value, W = self._solve(K, noise)
-            WR = np.multiply(W, R, out=R)
-            return value, np.array([WR.sum(), v * np.vdot(WR, q), noise * W.trace()])
+            value, W, trace = self._solve(K, v + diag_rest, noise)
+            q *= R
+            return value, np.array([2.0 * (R @ W) + trace, 2.0 * v * (q @ W), noise * trace])
 
         return value_and_grad
 

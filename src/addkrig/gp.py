@@ -290,14 +290,15 @@ def fit_gp(kernel: AdditiveKernel, dataset: Dataset, noise: float = 0.0) -> Fitt
 
 
 def _factor(K: np.ndarray, diag: float) -> np.ndarray:
-    """Lower Cholesky factor L of K + diag I, in place (the symmetric C-ordered K becomes L in
-    Fortran order): the one factorization and singularity test of fit_gp, the likelihood and GP
-    paths.  LinAlgError when a leading minor is not positive definite or a squared pivot is at
-    most 1e-12 tr(K + diag I)/n.  ``diag`` is trusted: each caller checks it where it enters."""
+    """Lower Cholesky factor L of K + diag I, in place (the C-ordered K becomes L in Fortran
+    order): the one factorization and singularity test of fit_gp, the likelihood and GP paths.
+    Only K's upper triangle and diagonal are read, so the cells below may hold anything.
+    LinAlgError when a leading minor is not positive definite or a squared pivot is at most
+    1e-12 tr(K + diag I)/n.  ``diag`` is trusted: each caller checks it where it enters."""
     diagonal = K.reshape(-1)[::len(K) + 1]  # a writable view, K being C-ordered
     diagonal += diag
     trace = diagonal.sum()  # taken first: the factorization overwrites K
-    # K is exactly symmetric, so K.T is K in Fortran order and LAPACK works in place.
+    # K.T is K's memory in Fortran order, whose lower triangle is K's upper one: LAPACK works in place.
     L, info = dpotrf(K.T, lower=1, clean=1, overwrite_a=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor of the covariance is not positive definite")

@@ -325,6 +325,18 @@ class TestBench:
             f"failed: {run}: constant responses: nothing to estimate" for run in runs]
         assert (out / "summary.json").is_file()
 
+    def test_constant_test_sample_exits_partial(self, tmp_path, capsys):
+        # At seed 6 these coefficients round both test responses to one value but not the
+        # design's: the design cannot be scored, so it is not fitted.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"a": [1.2e16, 1.2e16], "n_designs": 1, "design_size": 5, "test_size": 2,
+                                   "lhs_steps": 5, "methods": ["ulm-additive"], "ulm_max_evals": 20}))
+        out = tmp_path / "bench"
+        assert main(["bench", "gfunction", "--config", str(cfg), "--seed", "6", "--out", str(out)]) == EXIT_PARTIAL
+        assert capsys.readouterr().err.splitlines() == [
+            "failed: g000: test sample: constant reference values: Q2 undefined"]
+        assert (out / "summary.json").is_file()
+
     def test_seed_flag_wins_and_is_echoed(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

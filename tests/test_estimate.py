@@ -293,6 +293,35 @@ class TestLikelihoodEngine:
             np.testing.assert_allclose(nll_gradient(p, ds), want, rtol=1e-9)
 
 
+class TestPackedCovariance:
+    @pytest.mark.parametrize("fam", ["gaussian", "matern32"])
+    @pytest.mark.parametrize("comp", ["additive", "tensor"])
+    @pytest.mark.parametrize("n, d", [(2, 1), (2, 3), (13, 1), (16, 4)])
+    def test_buffer_holds_cov_matrix_bits(self, fam, comp, n, d, monkeypatch):
+        # The engine puts K's packed strict upper triangle and its diagonal into the buffer that
+        # cholesky factors in place, and cholesky adds tau^2 to the diagonal as cov_matrix does:
+        # the triangle it reads then holds cov_matrix's K bit for bit, for any variances.
+        ds = random_dataset(n, d, 70 + n + d)
+        rng = np.random.default_rng(71 + n + d)
+        handed, real = [], estimate.cholesky
+
+        def keep(K, noise):
+            K_noise = K.copy()
+            K_noise.flat[::n + 1] += noise
+            handed.append(K_noise)
+            return real(K, noise)
+
+        monkeypatch.setattr(estimate, "cholesky", keep)
+        lik = _Likelihood(ds.X, ds.Y)
+        for rep in range(4):
+            v = rng.uniform(0.1, 2.0, d)
+            v[0] *= rep > 0  # a direction RLM has not turned on yet, at the first point
+            p = HyperParams(v, rng.uniform(0.05, 1.5, d), float(rng.uniform(1e-3, 0.5)), fam, comp)
+            lik(p)
+            want = cov_matrix(p, ds.X, p.noise)
+            assert np.array_equal(np.triu(handed.pop()), np.triu(want))
+
+
 class TestReusedBuffers:
     @pytest.mark.parametrize("fam", ["gaussian", "matern32"])
     def test_interleaved_calls_match_a_fresh_engine(self, fam):
@@ -343,21 +372,18 @@ def reference_solve(K, noise, Y):
 
 
 def reference_value_and_grad(p, ds):
-    """(value, gradient) with one correlation call per direction and list-built products."""
+    """(value, gradient, scale) from cov_matrix's K through the wrapper route, each gradient entry
+    summed over the full matrix as <W, dK/dp>; scale holds each entry's sum of |W_ij dK_ij|."""
     terms = [_corr(p.family, np.abs(x[:, None] - x[None, :]), t, dlog=True)
              for x, t in zip(ds.X.T, p.lengthscales)]
+    value, W = reference_solve(cov_matrix(p, ds.X), p.noise, ds.Y)
     if p.composition == "additive":
-        value, W = reference_solve(sum(v * R for v, (R, _) in zip(p.variances, terms)), p.noise, ds.Y)
-        WR = [W * R for R, _ in terms]
-        grad = [x.sum() for x in WR]
-        grad += [v * np.vdot(x, q) / t for v, t, x, (_, q) in zip(p.variances, p.lengthscales, WR, terms)]
+        dK = [R for R, _ in terms] + [v * R * q / t for v, t, (R, q) in zip(p.variances, p.lengthscales, terms)]
     else:
         P = math.prod(R for R, _ in terms)
-        value, W = reference_solve(np.prod(p.variances) * P, p.noise, ds.Y)
-        WP = W * P
-        grad = [np.prod(p.variances[1:]) * WP.sum()]
-        grad += [np.prod(p.variances) * np.vdot(WP, q) / t for t, (_, q) in zip(p.lengthscales, terms)]
-    return value, np.append(grad, np.trace(W))
+        dK = [np.prod(p.variances[1:]) * P]
+        dK += [np.prod(p.variances) * P * q / t for t, (_, q) in zip(p.lengthscales, terms)]
+    return value, *gradient_and_scale(W, dK + [np.eye(ds.n)])
 
 
 def reference_direction(l, p, ds, x):
@@ -369,8 +395,23 @@ def reference_direction(l, p, ds, x):
                  for j, (r, vj, tj) in enumerate(zip(dist, p.variances, p.lengthscales)) if j != l)
     R, q = _corr(p.family, dist[l], t, dlog=True)
     value, W = reference_solve(K_rest + v * R, noise, ds.Y)
-    WR = W * R
-    return value, np.array([WR.sum(), v * np.vdot(WR, q), noise * np.trace(W)])
+    return value, *gradient_and_scale(W, [R, v * R * q, noise * np.eye(ds.n)])
+
+
+def gradient_and_scale(W, dK):
+    """(<W, G>, sum |W * G|) for each G in dK."""
+    return np.array([np.sum(W * G) for G in dK]), np.array([np.sum(np.abs(W * G)) for G in dK])
+
+
+# The engine sums each gradient entry over the packed triangle, the reference over the full
+# matrix: the same terms in another order.  So an entry agrees to GRAD_RTOL times the sum of
+# its terms' magnitudes, which is its own magnitude unless the terms cancel: at tau^2 = 2.2e-5,
+# tr W = -4.4e10 sits in a variance entry of -1.6e4.
+GRAD_RTOL = 1e-12
+
+
+def assert_gradient_close(g, want, scale):
+    assert np.all(np.abs(g - want) <= GRAD_RTOL * scale), (g, want, scale)
 
 
 # An exactly singular design at tau^2 = 0: the four corners of a rectangle.
@@ -381,6 +422,8 @@ class TestLapackPath:
     @pytest.mark.parametrize("fam", ["gaussian", "matern32"])
     @pytest.mark.parametrize("n", [1, 2, 31, 60])
     def test_bit_identical_to_the_scipy_wrapper_route(self, fam, n):
+        # Values bit for bit: the engine's K has cov_matrix's bits, so L and alpha have the
+        # wrapper route's.  Gradients to GRAD_RTOL of their terms.
         d = 3
         ds = random_dataset(n, d, 50 + n)
         rng = np.random.default_rng(51 + n)
@@ -393,16 +436,16 @@ class TestLapackPath:
                 vt = v if comp == "additive" else np.concatenate([v[:1] + 0.5, np.ones(d - 1)])
                 p = HyperParams(vt, t, noise, fam, comp)
                 value, g = lik(p)
-                want_value, want_g = reference_value_and_grad(p, ds)
+                want_value, *want_g = reference_value_and_grad(p, ds)
                 assert value == want_value
-                np.testing.assert_array_equal(g, want_g)
+                assert_gradient_close(g, *want_g)
             p = HyperParams(v, t, noise, fam)
             for l in range(d):
                 x = log_point(0.7 * v[l] + 0.1, 1.3 * t[l], 2.0 * noise)
                 value, g = lik.direction(l, p, WIDE)(x)
-                want_value, want_g = reference_direction(l, p, ds, (x[0], math.exp(x[1]), math.exp(x[2])))
+                want_value, *want_g = reference_direction(l, p, ds, (x[0], math.exp(x[1]), math.exp(x[2])))
                 assert value == want_value
-                np.testing.assert_array_equal(g, want_g)
+                assert_gradient_close(g, *want_g)
 
     def test_indefinite_covariance_raises(self):
         # LAPACK's own refusal (info > 0), before the pivot test is reached.
@@ -410,7 +453,7 @@ class TestLapackPath:
         assert dpotrf(K.T.copy(), lower=1)[1] > 0
         ds = random_dataset(2, 1, 52)
         with pytest.raises(np.linalg.LinAlgError):
-            _Likelihood(ds.X, ds.Y)._solve(K, 0.0)
+            _Likelihood(ds.X, ds.Y)._solve(K[0, 1:], K[0, 0], 0.0)  # K's packed cell and diagonal
 
     def test_singular_rectangle_raises_through_the_pivot_test(self):
         ds = Dataset(RECTANGLE, np.arange(4.0))
@@ -513,7 +556,7 @@ class TestChecksAtEntry:
 
         monkeypatch.setattr(estimate, "minimize", recording)
         monkeypatch.setattr(estimate, "_corr", lambda f, r, t, *a, **k: thetas.append(t) or real_corr(f, r, t, *a, **k))
-        monkeypatch.setattr(_Likelihood, "_solve", lambda lik, K, noise: noises.append(noise) or real_solve(lik, K, noise))
+        monkeypatch.setattr(_Likelihood, "_solve", lambda lik, K, diag, noise: noises.append(noise) or real_solve(lik, K, diag, noise))
         fam = "matern32" if data == "gfunction" else "gaussian"
         ds = STUDY_DATA[data]()
         res = FITS[fit](ds, fam, 5000 if fit.startswith("ulm") else 200)
