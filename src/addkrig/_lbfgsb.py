@@ -2,9 +2,10 @@
 
 ``scipy.optimize.minimize(method="L-BFGS-B")`` runs this same loop (scipy/optimize/_lbfgsb_py.py)
 inside layers of wrappers that cost more per call than a small objective does.  This loop passes
-``setulb`` what scipy passes, with scipy's default settings, and answers its task codes as scipy
-does, so the iterates are bit for bit scipy's; the tests keep scipy's ``minimize`` as the
-reference.  The ``setulb`` signature is the one of scipy >= 1.15, where L-BFGS-B became C code.
+``setulb`` what scipy passes, with scipy's default settings but for ``ftol`` (an argument whose
+default is scipy's), and answers its task codes as scipy does, so the iterates are bit for bit
+scipy's at the same ``ftol``; the tests keep scipy's ``minimize`` as the reference.  The
+``setulb`` signature is the one of scipy >= 1.15, where L-BFGS-B became C code.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import numpy as np
 
 from ._scipy import setulb
 
-# scipy's defaults: maxcor, ftol as factr, gtol, maxls and maxiter.
+# scipy's defaults: maxcor, ftol, gtol, maxls and maxiter.
 _M = 10
-_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
+_FTOL = 2.2204460492503131e-09
 _PGTOL = 1e-5
 _MAXLS = 20
 _MAXITER = 15000
@@ -41,9 +42,13 @@ class OptResult:
     converged: bool
 
 
-def minimize(value_and_grad, lower, upper, start, max_evals: int = 1000) -> OptResult:
+def minimize(value_and_grad, lower, upper, start, max_evals: int = 1000, ftol: float = _FTOL) -> OptResult:
     """Minimize ``value_and_grad(x) -> (f, g)`` over the box [lower, upper] with L-BFGS-B, counting
     every call.
+
+    The run converges once an iteration lowers f by at most ``ftol`` * max(|f_k|, |f_k+1|, 1),
+    scipy's ``ftol`` test, handed to ``setulb`` as scipy hands it (factr = ftol / eps); its
+    default is scipy's, 2.2204460492503131e-09.  Every other setting is scipy's default.
 
     ``lower``, ``upper`` and ``start`` are float arrays of one shape (n,), the bounds finite as
     :meth:`HyperBounds.box` gives them.  The run starts from ``start`` clipped into the box and
@@ -66,6 +71,7 @@ def minimize(value_and_grad, lower, upper, start, max_evals: int = 1000) -> OptR
         raise ValueError(f"start and bounds need one shape (n,), got {np.shape(start)}, "
                          f"{lower.shape} and {upper.shape}")
     nbd = np.full(n, 2, np.int32)  # every entry bounded on both sides
+    factr = ftol / np.finfo(float).eps
     f, g = np.array(0.0), np.zeros(n)
     wa = np.zeros(2 * _M * n + 5 * n + 11 * _M * _M + 8 * _M)
     iwa = np.zeros(3 * n, np.int32)
@@ -74,7 +80,7 @@ def minimize(value_and_grad, lower, upper, start, max_evals: int = 1000) -> OptR
     last, done, n_calls, n_iterations = None, None, 0, 0
     best_x, best_f = None, np.inf
     while True:
-        setulb(_M, x, lower, upper, nbd, f, g, _FACTR, _PGTOL, wa, iwa, task, lsave, isave, dsave,
+        setulb(_M, x, lower, upper, nbd, f, g, factr, _PGTOL, wa, iwa, task, lsave, isave, dsave,
                _MAXLS, ln_task)
         if task[0] == _FG:
             point = x.tolist()  # compared as a list, which costs less than an array comparison

@@ -291,6 +291,10 @@ class BenchmarkReport:
 
 _METHODS = ("rlm-additive", "ulm-additive", "ulm-tensor")
 
+# The most points a design or test sample may hold: its covariance would take 8 TB.  The cap keeps
+# every array within numpy's index range, so a study too large for memory raises MemoryError.
+_MAX_POINTS = 10**6
+
 
 def _as_type_of(name: str, value, default):
     """``value`` converted to the type of ``default``; for a tuple default, a 1-d sequence whose
@@ -328,6 +332,13 @@ def _check_fields(config, unique: str, **minima) -> None:
         raise ValueError(f"{unique} must not repeat an entry, got {entries}")
 
 
+def _check_points(**counts) -> None:
+    """ValueError unless each named point count is at most ``_MAX_POINTS``."""
+    for name, n in counts.items():
+        if n > _MAX_POINTS:
+            raise ValueError(f"{name} must be <= {_MAX_POINTS}, got {n}")
+
+
 @dataclass(frozen=True)
 class GFunctionBenchConfig:
     a: tuple = (1.0, 2.0, 3.0, 4.0)
@@ -345,6 +356,7 @@ class GFunctionBenchConfig:
     def __post_init__(self):
         _check_fields(self, "methods", n_designs=0, design_size=2, rlm_iterations=1, test_size=2,
                       master_seed=0, lhs_steps=0, ulm_max_evals=1, rlm_max_evals_inner=1)
+        _check_points(design_size=self.design_size, test_size=self.test_size)
         GFunctionSpec(self.a)  # raises unless every a_k is finite and > 0
         _check_names(self.family)
         if not set(self.methods) <= set(_METHODS):
@@ -368,6 +380,7 @@ class PathsBenchConfig:
     def __post_init__(self):
         _check_fields(self, "dims", dims=1, n_paths=0, points_per_dim=2, rlm_iterations=1,
                       master_seed=0, lhs_steps=0, ulm_max_evals=1, rlm_max_evals_inner=1)
+        _check_points(**{f"points_per_dim * {d}": self.points_per_dim * d for d in self.dims})
         _check_names(self.family)
         _check_params(self.true_variance, self.true_lengthscale)
 

@@ -5,8 +5,8 @@ deterministic given its resolved configuration (flags override values from an
 optional JSON config file) and writes an echo of that configuration next to
 its outputs.  No plotting: outputs are CSV/JSON shaped for external plotting.
 
-Exit codes: 0 success, 2 input error, 3 numerical failure, 4 partial
-benchmark failure.
+Exit codes: 0 success, 2 input error (a study or data too large for memory
+included), 3 numerical failure, 4 partial benchmark failure.
 """
 
 from __future__ import annotations
@@ -223,6 +223,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:  # numpy's _ArrayMemoryError too: sizes asked of the machine
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CholeskyFailure as exc:
         print(exc.report.describe(), file=sys.stderr)

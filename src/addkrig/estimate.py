@@ -43,6 +43,11 @@ from .gp import _factor as cholesky
 from .kernels import AdditiveKernel, _check_names, _check_noise, _check_params, _corr
 from ._scipy import dpotri, dpotrs
 
+# RLM's one tolerance: a cycle that lowers l by less than this, relative to max(1, |l|), ends the
+# cycling, and each inner run stops at the same relative decrease per iteration (L-BFGS-B's ftol).
+# A block solved past the digits the cycle test reads buys nothing (Tseng 2001, JOTA 109).
+_RLM_TOL = 1e-6
+
 __all__ = [
     "HyperParams",
     "HyperBounds",
@@ -376,8 +381,10 @@ def estimate_rlm(
     noise until proven additive).  Cycle k visits each direction l in turn and
     re-optimizes (sigma_l^2, theta_l, tau^2) jointly, warm-started at the
     incumbent, for ``n_iterations`` cycles.  Stops early once a full cycle
-    improves the objective by less than 1e-6 in relative terms.  The responses' mean is removed
-    first, as :func:`fit_gp` removes it: ``best_value`` is the centered responses' objective.
+    improves the objective by less than 1e-6 in relative terms; the inner L-BFGS-B runs share
+    that tolerance as their ``ftol``, so no block is solved to digits the cycle test never reads
+    (ULM keeps scipy's default).  The responses' mean is removed first, as :func:`fit_gp` removes
+    it: ``best_value`` is the centered responses' objective.
     """
     if n_iterations < 1:
         raise ValueError("n_iterations must be >= 1")
@@ -410,7 +417,7 @@ def estimate_rlm(
             sigma_start = variances[l] if variances[l] > 0 else sigma_kick
             start = _vector(sigma_start, lengthscales[l], noise, 1, "additive")
             res = minimize(lik.direction(l, HyperParams(variances, lengthscales, noise, family), hb),
-                           *inner_box, start, max_evals=max_evals_inner)
+                           *inner_box, start, max_evals=max_evals_inner, ftol=_RLM_TOL)
             if res.value <= current:
                 (variances[l],), (lengthscales[l],), noise = _split(res.x, 1, "additive", hb)
                 current = res.value
@@ -418,7 +425,7 @@ def estimate_rlm(
             converged = converged and res.converged
             trace.add(k, l + 1, res.n_calls, current, noise)
         # False in cycle 1 (inf < inf); after it current is finite: minimize returns a real value.
-        if (cycle_start - current) < 1e-6 * max(1.0, abs(cycle_start)):
+        if (cycle_start - current) < _RLM_TOL * max(1.0, abs(cycle_start)):
             break
 
     params = HyperParams(variances, lengthscales, noise, family)

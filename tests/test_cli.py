@@ -9,7 +9,9 @@ import pytest
 from test_gp import RECT4, gauss2
 
 from addkrig import Dataset, FittedGP, centered_effect, fit_gp, make_kernel, sub_model
+from addkrig import cli
 from addkrig import gp as gp_mod
+from addkrig.bench import _MAX_POINTS, GFunctionBenchConfig, PathsBenchConfig
 from addkrig.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_PARTIAL, main
 from addkrig.gp import _BLOCK as BLOCK
 from addkrig.kernels import cross_cov
@@ -336,6 +338,39 @@ class TestBench:
         assert capsys.readouterr().err.splitlines() == [
             "failed: g000: test sample: constant reference values: Q2 undefined"]
         assert (out / "summary.json").is_file()
+
+    # Sizes past numpy's index range would end in its ValueError; these are refused before any
+    # array is allocated.
+    @pytest.mark.parametrize("study, config, message", [
+        ("paths", {"points_per_dim": 1e308, "dims": [2], "n_paths": 1}, "points_per_dim * 2 must be <= 1000000"),
+        ("gfunction", {"design_size": 1e19, "n_designs": 1}, "design_size must be <= 1000000"),
+        ("gfunction", {"test_size": 1e19, "n_designs": 1}, "test_size must be <= 1000000"),
+    ], ids=["points-per-dim", "design-size", "test-size"])
+    def test_study_too_large_is_an_input_error(self, tmp_path, capsys, study, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["bench", study, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {message}, got ")
+        assert not (tmp_path / "o").exists()
+
+    def test_point_cap_is_inclusive(self):
+        GFunctionBenchConfig(design_size=_MAX_POINTS, test_size=_MAX_POINTS)
+        PathsBenchConfig(dims=(1, 4), points_per_dim=_MAX_POINTS // 4)
+        for config in (lambda: GFunctionBenchConfig(design_size=_MAX_POINTS + 1),
+                       lambda: GFunctionBenchConfig(test_size=_MAX_POINTS + 1),
+                       lambda: PathsBenchConfig(dims=(1, 4), points_per_dim=_MAX_POINTS // 4 + 1)):
+            with pytest.raises(ValueError, match=f"must be <= {_MAX_POINTS}"):
+                config()
+
+    def test_out_of_memory_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        # A smaller study may still not fit: numpy's MemoryError ends in exit 2, not a traceback.
+        def exhausted(config):
+            raise MemoryError("Unable to allocate 26.8 GiB for an array with shape (60000, 60000)")
+
+        monkeypatch.setitem(cli._STUDIES, "paths", (PathsBenchConfig, exhausted))
+        assert main(["bench", "paths", "--out", str(tmp_path / "o")]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 26.8 GiB for an array with shape (60000, 60000)\n")
 
     def test_seed_flag_wins_and_is_echoed(self, tmp_path):
         cfg = tmp_path / "cfg.json"

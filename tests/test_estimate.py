@@ -817,9 +817,9 @@ def as_box(pairs):
     return lower.copy(), upper.copy()
 
 
-def scipy_optimize_local(value_and_grad, lower, upper, start, max_evals=1000):
+def scipy_optimize_local(value_and_grad, lower, upper, start, max_evals=1000, ftol=_lbfgsb._FTOL):
     """The L-BFGS-B loop's contract on scipy.optimize.minimize, which the setulb loop replaced:
-    the reference that loop must reproduce bit for bit."""
+    the reference that loop must reproduce bit for bit, at any ``ftol``."""
     start = np.clip(np.asarray(start, dtype=float), lower, upper)
     n_calls = 0
     best = {"x": None, "f": np.inf}
@@ -840,11 +840,12 @@ def scipy_optimize_local(value_and_grad, lower, upper, start, max_evals=1000):
         return f, np.asarray(g, dtype=float)
 
     res = scipy.optimize.minimize(wrapped, start, jac=True, method="L-BFGS-B",
-                                  bounds=list(zip(lower, upper)), options={"maxfun": max_evals})
+                                  bounds=list(zip(lower, upper)),
+                                  options={"ftol": ftol, "maxfun": max_evals})
     return _lbfgsb.OptResult(np.clip(best["x"], lower, upper), best["f"], n_calls, bool(res.success))
 
 
-def assert_same_run(value_and_grad, lower, upper, start, max_evals=1000):
+def assert_same_run(value_and_grad, lower, upper, start, max_evals=1000, ftol=_lbfgsb._FTOL):
     """minimize and the scipy reference evaluate the same points and return the same result."""
     runs = []
     for optimizer in (minimize, scipy_optimize_local):
@@ -854,7 +855,7 @@ def assert_same_run(value_and_grad, lower, upper, start, max_evals=1000):
             points.append(x.copy())
             return value_and_grad(x)
 
-        runs.append((optimizer(recording, lower, upper, start, max_evals), points))
+        runs.append((optimizer(recording, lower, upper, start, max_evals, ftol=ftol), points))
     (got, got_points), (want, want_points) = runs
     assert got.n_calls == want.n_calls == len(got_points) == len(want_points)
     for a, b in zip(got_points, want_points):
@@ -950,14 +951,15 @@ class TestScipyOracle:
         assert res.value < _lbfgsb._SENTINEL
 
     @pytest.mark.parametrize("n, d", [(30, 3), (60, 6)])
-    def test_rlm_directions_on_study_data(self, n, d):
+    @pytest.mark.parametrize("ftol", [_lbfgsb._FTOL, estimate._RLM_TOL], ids=["scipy-ftol", "rlm-ftol"])
+    def test_rlm_directions_on_study_data(self, n, d, ftol):
         ds = study_dataset(n, d)
         hb = default_bounds(ds)
         lik, kick = _Likelihood(ds.X, ds.Y), 0.05 * hb.variance[1] / 10.0
         variances, lengthscales = np.zeros(d), np.full(d, 0.5)
         for l in range(d):  # the first RLM cycle: each visit warm-starts from the previous ones
             vg = lik.direction(l, HyperParams(variances, lengthscales, hb.noise[1]), hb)
-            res = assert_same_run(vg, *hb.box(1), log_point(kick, 0.5, hb.noise[1]), max_evals=200)
+            res = assert_same_run(vg, *hb.box(1), log_point(kick, 0.5, hb.noise[1]), max_evals=200, ftol=ftol)
             (variances[l],), (lengthscales[l],), _ = estimate._split(res.x, 1, "additive", hb)
 
     @pytest.mark.parametrize("n, d", [(30, 3), (60, 6)])
@@ -1086,7 +1088,8 @@ class TestRLM:
             g = nll_gradient(p, centered) * [1.0, p.lengthscales[0], p.noise]
             return neg_log_likelihood(p, centered), g
 
-        replay = minimize(vg, *hb.box(1), log_point(kick, theta0, hb.noise[1]), max_evals=200)
+        replay = minimize(vg, *hb.box(1), log_point(kick, theta0, hb.noise[1]), max_evals=200,
+                          ftol=estimate._RLM_TOL)
         assert res.trace.records[0].best_value == pytest.approx(replay.value, rel=1e-12)
         assert res.trace.records[0].n_calls == replay.n_calls
 
@@ -1108,6 +1111,25 @@ class TestRLM:
         ds = random_dataset(5, 1, 18)
         with pytest.raises(ValueError):
             estimate_rlm(ds, n_iterations=0)
+
+    def test_inner_runs_stop_at_the_cycle_tolerance(self, monkeypatch):
+        # RLM's inner runs get the cycle test's tolerance as ftol; ULM, the usual baseline,
+        # keeps scipy's default in both compositions.
+        seen = []
+
+        def recording(*args, ftol=_lbfgsb._FTOL, **kwargs):
+            seen.append(ftol)
+            return minimize(*args, ftol=ftol, **kwargs)
+
+        monkeypatch.setattr(estimate, "minimize", recording)
+        ds = random_dataset(12, 3, 19)
+        res = estimate_rlm(ds, n_iterations=3)
+        assert estimate._RLM_TOL == 1e-6
+        assert seen == [estimate._RLM_TOL] * len(res.trace.records)
+        for comp in ("additive", "tensor"):
+            seen.clear()
+            estimate_ulm(ds, composition=comp)
+            assert seen == [2.2204460492503131e-09]
 
 
 def estimate_vector(res):
