@@ -149,12 +149,12 @@ def lhs_maximin(n: int, d: int, seed: int = 0, n_improvement_steps: int = 10000)
 
     An exchange of rows i and j changes only the distances from i and j, so
     when the pair (a, b) at the current minimum involves neither row, that
-    minimum survives, the exchange cannot raise it and it is rejected without
-    computing any distance; nor can it when the new rows i and j hold a distance
-    at most the minimum, and then the rest of the matrix is not looked at.  The
-    proposals are drawn in batches (:func:`_draw_proposals`) and only those that
-    touch (a, b) are visited; every step draws its proposal, rejected or not, so
-    a design depends only on its seed.
+    minimum survives, the exchange cannot raise it and the step is skipped
+    without computing any distance; nor can it when the new rows i and j hold a
+    distance at most the minimum, and then the rest of the matrix is not looked
+    at.  The proposals are drawn in batches (:func:`_draw_proposals`) and walked
+    in one loop; every step draws its proposal, skipped or not, so a design
+    depends only on its seed.
     """
     if n < 2:
         raise ValueError("need at least two design points")
@@ -172,17 +172,11 @@ def lhs_maximin(n: int, d: int, seed: int = 0, n_improvement_steps: int = 10000)
     current_min = D.min()
     a, b = divmod(int(D.argmin()), n)  # one row pair at the current minimum
 
-    def touching(lo):  # the steps from lo on that exchange row a or row b
-        I_, J_ = I[lo:], J[lo:]
-        return lo + np.flatnonzero((I_ == a) | (I_ == b) | (J_ == a) | (J_ == b))
-
     for start in range(0, n_improvement_steps, _PROPOSAL_CHUNK):
-        I, J, K = _draw_proposals(rng, n, d, min(_PROPOSAL_CHUNK, n_improvement_steps - start))
-        visits, pos = touching(0), 0
-        while pos < len(visits):
-            s = visits[pos]
-            pos += 1
-            i, j, k = I[s], J[s], K[s]
+        steps = min(_PROPOSAL_CHUNK, n_improvement_steps - start)
+        for i, j, k in zip(*(p.tolist() for p in _draw_proposals(rng, n, d, steps))):
+            if i != a and i != b and j != a and j != b:
+                continue  # (a, b) survives the exchange, so the minimum cannot rise
             X[i, k], X[j, k] = X[j, k], X[i, k]
             di = _min_sq_dist_rows(X, i)
             dj = _min_sq_dist_rows(X, j)
@@ -198,7 +192,6 @@ def lhs_maximin(n: int, d: int, seed: int = 0, n_improvement_steps: int = 10000)
                     D = D_new
                     current_min = new_min
                     a, b = divmod(int(D.argmin()), n)
-                    visits, pos = touching(s + 1), 0
                     continue
             X[i, k], X[j, k] = X[j, k], X[i, k]  # rejected: undo the exchange
     return X

@@ -237,8 +237,12 @@ def integral_univariate(spec: UnivariateKernel, x) -> float | np.ndarray:
 
 
 def double_integral_univariate(spec: UnivariateKernel) -> float:
-    """Closed-form double integral of K_i(s, t) over [0, 1]^2."""
+    """Closed-form double integral of K_i(s, t) over [0, 1]^2: 2 sigma^2 (single - moment)."""
     th = spec.lengthscale
+    if th < 1e-150:  # the small-lengthscale limit: the moment lies under single's last bit, and
+        # squaring th (Gaussian) or c = sqrt(3) / th (Matern) could leave the float range
+        single = th * math.sqrt(math.pi / 2.0) if spec.family == "gaussian" else 2.0 / (_SQRT3 / th)
+        return float(spec.variance * 2.0 * single)
     if spec.family == "gaussian":
         c = 1.0 / (math.sqrt(2.0) * th)
         single = th * math.sqrt(math.pi / 2.0) * erf(c)

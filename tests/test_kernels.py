@@ -271,6 +271,16 @@ class TestIntegrals:
         spec = UnivariateKernel("gaussian", 1.0, 1e3)
         assert double_integral_univariate(spec) == pytest.approx(1.0, abs=1e-4)
 
+    @pytest.mark.parametrize("fam, area", [("gaussian", math.sqrt(2 * math.pi)), ("matern32", 4 / math.sqrt(3))],
+                             ids=["gaussian", "matern32"])
+    @pytest.mark.parametrize("theta", [1e-300, 1e-160, 1e-140])
+    def test_vanishing_lengthscale_limit(self, fam, area, theta):
+        # theta -> 0 leaves sigma^2 theta times the area under the kernel's profile on the real
+        # line.  At 1e-300 the Gaussian's theta^2 underflows to 0, and from 1e-160 the Matern's
+        # (sqrt(3) / theta)^2 overflows.
+        spec = UnivariateKernel(fam, 2.0, theta)
+        assert double_integral_univariate(spec) == pytest.approx(2.0 * area * theta, rel=1e-12)
+
 
 class TestSerialization:
     def test_round_trip(self):
