@@ -39,15 +39,12 @@ setulb = _load("optimize", "_lbfgsb").setulb
 erf = _load("special", "_special_ufuncs").erf
 
 
-def solve_triangular(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
-    """scipy.linalg.solve_triangular(L, b, lower=True, trans=trans, check_finite=False) bit for bit:
-    scipy's dtrtrs call, which passes a C-ordered L as its transpose, upper triangular."""
+def solve_triangular(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with L x = b for a lower-triangular L, read on and below its diagonal only: one dtrtrs call,
+    scipy's bits for a Fortran-ordered L (f2py copies any other layout).  LinAlgError for a zero pivot."""
     if b.size == 0:  # dtrtrs refuses an empty L, and prints that on the terminal
         return np.empty(b.shape)
-    if L.flags.f_contiguous:
-        x, info = dtrtrs(L, b, lower=1, trans=trans)
-    else:
-        x, info = dtrtrs(L.T, b, lower=0, trans=1 - trans)
+    x, info = dtrtrs(L, b, lower=1)
     if info:
         raise np.linalg.LinAlgError(f"triangular solve failed: dtrtrs info {info}")
     return x

@@ -204,9 +204,8 @@ def detect_degenerate_design(kernel: AdditiveKernel, X) -> DegeneracyReport:
         if k < m:
             dependents.append(j)
             j += 1
-    L = L[:len(pivots), :len(pivots)]  # K[pivots, pivots] = L L^T
-    C = solve_triangular(L, K[np.ix_(pivots, dependents)])
-    C = solve_triangular(L, C, trans=1)  # column k: coefficients[k]
+    L, B = L[:len(pivots), :len(pivots)], K[np.ix_(pivots, dependents)]  # K[pivots, pivots] = L L^T
+    C = dpotrs(L, B, lower=1)[0] if pivots else B  # column k: coefficients[k]; dpotrs refuses an empty L
     return DegeneracyReport(len(pivots), tuple(pivots), tuple(dependents), tuple(C.T))
 
 
@@ -293,19 +292,17 @@ def _factor(K: np.ndarray, diag: float) -> np.ndarray:
     """Lower Cholesky factor L of K + diag I, in place (the C-ordered K becomes L in Fortran
     order): the one factorization and singularity test of fit_gp, the likelihood and GP paths.
     Only K's upper triangle and diagonal are read, so the cells below may hold anything.
-    LinAlgError when a leading minor is not positive definite or a squared pivot is at most
-    1e-12 tr(K + diag I)/n.  ``diag`` is trusted: each caller checks it where it enters."""
+    LinAlgError when LAPACK stops or a squared pivot is not above 1e-12 tr(K + diag I)/n, a NaN
+    one included.  ``diag`` is trusted: each caller checks it where it enters."""
     diagonal = K.reshape(-1)[::len(K) + 1]  # a writable view, K being C-ordered
     diagonal += diag
     trace = diagonal.sum()  # taken first: the factorization overwrites K
     # K.T is K's memory in Fortran order, whose lower triangle is K's upper one: LAPACK works in place.
     L, info = dpotrf(K.T, lower=1, clean=1, overwrite_a=1)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"{info}-th leading minor of the covariance is not positive definite")
-    # An exactly singular K can factorize with a tiny positive pivot; the
-    # threshold sits far below any admissible noise floor.
-    if L.diagonal().min() ** 2 <= 1e-12 * trace / len(L):
-        raise np.linalg.LinAlgError("covariance matrix is numerically singular")
+    # An exactly singular K can factorize with a tiny positive pivot; the threshold sits far
+    # below any admissible noise floor, and a NaN pivot fails the comparison.
+    if info or not L.diagonal().min() ** 2 > 1e-12 * trace / len(L):
+        raise np.linalg.LinAlgError("covariance matrix is not positive definite to tolerance")
     return L
 
 
@@ -329,15 +326,6 @@ def _query_points(gp: FittedGP, x, direction: int | None) -> tuple[bool, np.ndar
 _BLOCK = 500
 
 
-def _blocks(m: int):
-    """Slices of _BLOCK rows covering range(m); a lone last row joins the block before it,
-    because BLAS takes another path for one row, which rounds differently."""
-    starts = list(range(0, m, _BLOCK))
-    if m > 1 and m % _BLOCK == 1:
-        starts.pop()
-    return (slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [m]))
-
-
 def _pass(gp: FittedGP, x, rows: int, direction: int | None = None) -> tuple:
     """The first ``rows`` of (mean, variance, centered mean, centered variance) at one point
     (floats) or a batch (arrays).
@@ -357,7 +345,8 @@ def _pass(gp: FittedGP, x, rows: int, direction: int | None = None) -> tuple:
         Kinv_I = dpotrs(gp.factor, I_i, lower=1)[0]
         single_int, double_int = integral_univariate(spec, pts[:, 0]), double_integral_univariate(spec)
     out = np.empty((rows, len(pts)))
-    for blk in _blocks(len(pts)):
+    for lo in range(0, len(pts), _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
         k = cross_cov(kernel, pts[blk], X)
         out[0, blk] = offset + k @ gp.weights
         if rows >= 2:

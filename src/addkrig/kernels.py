@@ -38,6 +38,7 @@ __all__ = [
 _FAMILIES = ("gaussian", "matern32")
 _COMPOSITIONS = ("additive", "tensor")
 _SQRT3 = math.sqrt(3.0)
+_TINY = float(np.finfo(float).tiny)
 
 
 def _check_names(family: str = "gaussian", composition: str = "additive") -> None:
@@ -49,11 +50,13 @@ def _check_names(family: str = "gaussian", composition: str = "additive") -> Non
 
 
 def _check_params(variance: float, lengthscale: float) -> None:
-    """Reject a variance or lengthscale no kernel accepts: the one home of that rule."""
+    """Reject a variance or lengthscale no kernel accepts: the one home of that rule.  A
+    lengthscale below the smallest normal float is refused: there sqrt(3) r / theta overflows
+    to inf even for r <= 1, and the Matern kernel and its integral become NaN."""
     if not (math.isfinite(variance) and variance >= 0):
         raise ValueError(f"variance must be finite and >= 0, got {variance}")
-    if not (math.isfinite(lengthscale) and lengthscale > 0):
-        raise ValueError(f"lengthscale must be finite and > 0, got {lengthscale}")
+    if not (math.isfinite(lengthscale) and lengthscale >= _TINY):
+        raise ValueError(f"lengthscale must be finite and >= {_TINY}, got {lengthscale}")
 
 
 def _check_noise(noise: float) -> None:
@@ -183,17 +186,20 @@ def cross_cov(kernel: AdditiveKernel, X, Y) -> np.ndarray:
     out = np.zeros((m, n)) if kernel.is_additive else np.full((m, n), kernel.prior_variance)
     rows = max(1, _CHUNK // max(n, 1))
     buf = np.empty((2, min(rows, m), n))
-    for lo in range(0, m, rows):
-        chunk = out[lo:lo + rows]
-        R, scratch = buf[:, :len(chunk)]
-        for i, (v, t) in enumerate(zip(kernel.variances.tolist(), kernel.lengthscales.tolist())):
-            np.abs(np.subtract(X[lo:lo + rows, i, None], Y[None, :, i], out=R), out=R)
-            _corr(kernel.family, R, t, out=(R, scratch))
-            if kernel.is_additive:
-                R *= v
-                chunk += R
-            else:
-                chunk *= R
+    # At a tiny Gaussian lengthscale (r / theta)^2 overflows to inf, whose exp(-inf / 2) is the
+    # right 0: that overflow is no fault, but an invalid value still warns.
+    with np.errstate(over="ignore"):
+        for lo in range(0, m, rows):
+            chunk = out[lo:lo + rows]
+            R, scratch = buf[:, :len(chunk)]
+            for i, (v, t) in enumerate(zip(kernel.variances.tolist(), kernel.lengthscales.tolist())):
+                np.abs(np.subtract(X[lo:lo + rows, i, None], Y[None, :, i], out=R), out=R)
+                _corr(kernel.family, R, t, out=(R, scratch))
+                if kernel.is_additive:
+                    R *= v
+                    chunk += R
+                else:
+                    chunk *= R
     return out
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -9,7 +10,7 @@ import pytest
 from test_gp import RECT4, gauss2
 
 from addkrig import Dataset, FittedGP, centered_effect, fit_gp, make_kernel, sub_model
-from addkrig import cli
+from addkrig import bench, cli
 from addkrig import gp as gp_mod
 from addkrig.bench import _MAX_POINTS, GFunctionBenchConfig, PathsBenchConfig
 from addkrig.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_PARTIAL, main
@@ -327,6 +328,21 @@ class TestBench:
             f"failed: {run}: constant responses: nothing to estimate" for run in runs]
         assert (out / "summary.json").is_file()
 
+    def test_a_failed_fit_is_recorded_and_exits_partial(self, tmp_path, capsys, monkeypatch):
+        # A fit that ends in LinAlgError is that run's failure; the study goes on with the others.
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("objective never evaluated successfully")
+
+        monkeypatch.setattr(bench, "estimate_ulm", fail)
+        out = tmp_path / "bench"
+        assert main(["bench", "paths", "--config", _write(tmp_path / "c.json", json.dumps(SMALL_PATHS)),
+                     "--out", str(out)]) == EXIT_PARTIAL
+        assert capsys.readouterr().err.splitlines() == [
+            "failed: d2-p000-ulm-additive: objective never evaluated successfully"]
+        with open(out / "report.csv", newline="") as fh:
+            assert [row["method"] for row in csv.DictReader(fh)] == ["rlm-additive"]
+        assert json.loads((out / "summary.json").read_text())["n_failures"] == 1
+
     def test_constant_test_sample_exits_partial(self, tmp_path, capsys):
         # At seed 6 these coefficients round both test responses to one value but not the
         # design's: the design cannot be scored, so it is not fitted.
@@ -501,6 +517,13 @@ MALFORMED_INPUTS = {
     "object-points": lambda t, d: [
         "predict", "--model", _model_file(t, lambda o: o), "--config", _write(t / "c.json", '{"points": {"p": 1}}')],
     "number-effects-model": lambda t, d: ["effects", "--config", _write(t / "c.json", '{"model": 1.0}')],
+    # Below the smallest normal float sqrt(3) r / theta overflows: the Matern kernel would be NaN.
+    "subnormal-gaussian-range": lambda t, d: [
+        "predict", "--model", _model_file(t, _kernel_edit(family="gaussian", range=[1e-310, 0.6])),
+        "--points", _write(t / "p.csv", "0.5,0.5\n")],
+    "subnormal-matern-range": lambda t, d: [
+        "predict", "--model", _model_file(t, _kernel_edit(family="matern32", range=[1e-310, 0.6])),
+        "--points", _write(t / "p.csv", "0.5,0.5\n")],
 }
 
 # The stderr text a case must print, where it is pinned: "error:" otherwise.
@@ -519,6 +542,8 @@ MALFORMED_MESSAGES = {
     "list-model": 'error: model must be a file path, got ["m.json"]',
     "object-points": 'error: points must be a file path, got {"p": 1}',
     "number-effects-model": "error: model must be a file path, got 1.0",
+    "subnormal-gaussian-range": "error: cannot load model: lengthscale must be finite and >= 2.2250738585072014e-308",
+    "subnormal-matern-range": "error: cannot load model: lengthscale must be finite and >= 2.2250738585072014e-308",
 }
 
 
@@ -565,6 +590,33 @@ def test_ulm_on_full_factorial_grid_is_refit(tmp_path):
     points = _write(tmp_path / "p.csv", "0.3,0.6\n0.9,0.1\n")
     assert main(["predict", "--model", model, "--points", points, "--out", str(tmp_path / "p")]) == EXIT_OK
     assert main(["effects", "--model", model, "--out", str(tmp_path / "e")]) == EXIT_OK
+
+
+def test_tiny_gaussian_lengthscale_runs_without_a_warning(tmp_path, capsys):
+    # At theta = 1e-300 (r / theta)^2 overflows to inf, whose exp(-inf) = 0 is the right correlation.
+    model = _model_file(tmp_path, _kernel_edit(range=[1e-300, 0.6]))
+    out = tmp_path / "e"
+    assert main(["effects", "--model", model, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    with open(out / "effects.csv", newline="") as fh:
+        assert np.isfinite([[float(v) for v in r] for r in list(csv.reader(fh))[1:]]).all()
+
+
+def test_inconsistent_factor_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # A variance below the round-off window ends predict in exit 3, not in a traceback.  The
+    # query point is a design point, where half the factor gives about -3 times the prior.
+    load = cli._load_model
+
+    def halved(path):
+        model = load(path)
+        return dataclasses.replace(model, factor=0.5 * model.factor)
+
+    monkeypatch.setattr(cli, "_load_model", halved)
+    points = _write(tmp_path / "p.csv", "0.5,0.5\n")
+    model = _model_file(tmp_path, lambda o: {**o, "x": [[0.5, 0.5]] + o["x"][1:]})
+    assert main(["predict", "--model", model, "--points", points, "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: variance") and "Traceback" not in err
 
 
 def test_singular_model_is_a_numerical_failure(tmp_path, capsys):

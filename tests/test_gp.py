@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import tracemalloc
 
@@ -136,6 +137,12 @@ class TestFit:
         with pytest.raises(ValueError, match="noise"):
             fit_gp(gauss2(), Dataset(RECT3, np.array([1.0, 2.0, -0.5])), noise)
         assert calls == []
+
+    def test_factor_refuses_a_nan_pivot(self):
+        # dpotrf reports success on this K (info 0) and returns a NaN last pivot.
+        K = np.array([[1.0, 0.2, 0.1], [0.2, 1.0, math.nan], [0.1, math.nan, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            gp_mod._factor(K, 0.0)
 
     def test_fits_and_paths_factor_once_through_one_helper(self, monkeypatch):
         # fit_gp and sample_gp_path share the likelihood's helper, but not estimate.cholesky, the
@@ -518,7 +525,7 @@ class TestBlockedPrediction:
             assert isinstance(got, float)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
-    @pytest.mark.parametrize("m", [BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("m", [BLOCK + 1, 2 * BLOCK + 1, 2 * BLOCK + 3])
     def test_effects_across_block_boundaries(self, m):
         model = self.model()
         grid = np.linspace(0.0, 1.0, m)
@@ -528,14 +535,13 @@ class TestBlockedPrediction:
             for g, w in zip(got, want):
                 np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
 
-    def test_blocks_cover_the_rows_in_order(self):
-        from addkrig.gp import _blocks
-
-        for m in (0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 3 * BLOCK + 3):
-            blocks = list(_blocks(m))
-            assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(m))
-            assert all(b.stop - b.start <= BLOCK + 1 for b in blocks)
-            assert m < 2 or all(b.stop - b.start > 1 for b in blocks)  # no lone row in a batch
+    def test_inconsistent_factor_is_an_arithmetic_error(self):
+        # Half the factor makes every variance at a design point about -3 times the prior's:
+        # far below the round-off window, so no clamp to 0 hides it.
+        model = self.model()
+        broken = dataclasses.replace(model, factor=0.5 * model.factor)
+        with pytest.raises(ArithmeticError, match="below round-off window"):
+            predict_var(broken, model.dataset.X)
 
     @pytest.mark.parametrize("f", [predict_mean, predict_var])
     def test_empty_batch_still_checks_dimension(self, f):

@@ -128,12 +128,24 @@ class TestArrayKernel:
         ("gaussian", [1.0, 1.0], [0.5], "additive"),
         ("gaussian", [], [], "additive"),
         ("gaussian", [[1.0, 1.0]], [[0.5, 0.5]], "additive"),
+        ("matern32", [1.0], [1e-310], "additive"),
     ], ids=["family", "composition", "negative-variance", "nan-variance", "zero-lengthscale",
-            "negative-lengthscale", "mismatched-lengths", "no-directions", "2-d"])
+            "negative-lengthscale", "mismatched-lengths", "no-directions", "2-d", "subnormal-lengthscale"])
     def test_rejects_parameters_no_kernel_accepts(self, args):
         assert make_kernel is AdditiveKernel
         with pytest.raises(ValueError):
             AdditiveKernel(*args)
+
+    @pytest.mark.parametrize("family", ["gaussian", "matern32"])
+    def test_smallest_normal_lengthscale_gives_finite_values(self, family):
+        # The smallest lengthscale accepted keeps sqrt(3) r / theta finite for r <= 1, so the
+        # kernel and its integrals are numbers, and distinct points are uncorrelated.
+        k = make_kernel(family, [2.0], [np.finfo(float).tiny])
+        x = np.array([[0.0], [0.5], [1.0]])
+        np.testing.assert_array_equal(cross_cov(k, x, x), 2.0 * np.eye(3))
+        spec = k.components[0]
+        assert np.isfinite(integral_univariate(spec, x[:, 0])).all()
+        assert math.isfinite(double_integral_univariate(spec))
 
     def test_holds_read_only_float_copies_of_its_arrays(self):
         v, t = [1, 2], np.array([0.3, 0.5])
