@@ -535,6 +535,18 @@ class TestBlockedPrediction:
             for g, w in zip(got, want):
                 np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("m", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 3 * BLOCK + 3])
+    def test_blocks_are_consecutive_and_full_but_the_last(self, m, monkeypatch):
+        # The query rows reach the kernel in order, in blocks of BLOCK rows and one shorter last
+        # block, a lone row included.
+        model = self.model()
+        pts = np.random.default_rng(m).uniform(size=(m, 2))
+        seen = []
+        monkeypatch.setattr(gp_mod, "cross_cov", lambda k, x, X: seen.append(x.copy()) or cross_cov(k, x, X))
+        predict_var(model, pts)
+        assert [len(x) for x in seen] == [BLOCK] * (m // BLOCK) + ([m % BLOCK] if m % BLOCK else [])
+        assert np.array_equal(np.vstack(seen), pts)
+
     def test_inconsistent_factor_is_an_arithmetic_error(self):
         # Half the factor makes every variance at a design point about -3 times the prior's:
         # far below the round-off window, so no clamp to 0 hides it.
